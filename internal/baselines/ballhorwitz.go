@@ -65,8 +65,9 @@ func BallHorwitz(a *core.Analysis, c core.Criterion) (*core.Slice, error) {
 	acdg := cdg.Build(aug, pdt)
 	// Data dependence from the *unaugmented* graph (a.RD), control
 	// dependence from the augmented one — the defining trait of the
-	// algorithm.
-	apdg := pdg.Build(aug, acdg, a.RD)
+	// algorithm. The augmented PDG carries no invariant edges: the
+	// invariants are applied below over the plain PDG.
+	apdg := pdg.Build(aug, acdg, a.RD, pdg.Invariants{})
 
 	seeds, err := a.CriterionNodes(c)
 	if err != nil {

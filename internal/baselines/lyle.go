@@ -42,9 +42,6 @@ func Lyle(a *core.Analysis, c core.Criterion) (*core.Slice, error) {
 				continue
 			}
 			a.PDG.GrowClosure(set, j.ID)
-			if err := a.NormalizeSlice(set); err != nil {
-				return nil, err
-			}
 			s.JumpsAdded = append(s.JumpsAdded, j.ID)
 			changed = true
 		}

@@ -65,6 +65,8 @@ func (a *Analysis) agrawalWith(c Criterion, eng depEngine) (*Slice, error) {
 // Beyond serving Agrawal, this is the building block for slicing
 // variants that compute their base set differently — the dynamic
 // slicer (internal/dynslice) repairs a dynamic statement set with it.
+// The base set must already satisfy the slice invariants (pass it
+// through NormalizeSlice first); each admission keeps them.
 func (a *Analysis) RepairJumps(set *bits.Set) (jumpsAdded []int, rules []JumpRule, traversals int, err error) {
 	return a.repairJumps(set, a.jumpsPDT, a.engine())
 }
@@ -100,13 +102,16 @@ func (a *Analysis) repairJumps(set *bits.Set, worklist []int, eng depEngine) (ju
 			if pd == ls {
 				continue
 			}
-			if err := a.addJumpWithClosure(set, v, eng); err != nil {
+			if _, err := eng.grow(set, v); err != nil {
 				return nil, nil, traversals, err
 			}
 			jumpsAdded = append(jumpsAdded, v)
 			rules = append(rules, JumpRule{NearestPD: pd, NearestLS: ls})
 			a.m.jumpsAdmitted.Add(1)
 			a.tr.JumpAdmitted("fig7", v, pd, ls)
+			if err := a.checkCancel("fig7"); err != nil {
+				return nil, nil, traversals, err
+			}
 			changed = true
 		}
 		if !changed {
@@ -160,15 +165,4 @@ func (a *Analysis) recordSlice(algo string, set *bits.Set) {
 	if a.tr != nil {
 		a.tr.SliceDone(algo, set.Len())
 	}
-}
-
-// addJumpWithClosure adds jump node v to the slice together with the
-// transitive closure of its data and control dependences, keeping the
-// conditional-jump adaptation invariant (a predicate pulled in by the
-// closure brings its associated jump along — Figure 8's predicate 9).
-func (a *Analysis) addJumpWithClosure(set *bits.Set, v int, eng depEngine) error {
-	if _, err := eng.grow(set, v); err != nil {
-		return err
-	}
-	return a.normalizeSlice(set, eng)
 }

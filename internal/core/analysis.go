@@ -82,44 +82,42 @@ type Analysis struct {
 	live []bool
 
 	// enclosingSwitch maps each node ID to the node ID of the switch
-	// tag immediately enclosing its statement, or -1. It backs the
-	// switch-enclosure invariant (see normalizeSlice): a C case body
-	// statement can postdominate its switch's dispatch (fall-through
-	// into default), in which case it is not control dependent on the
-	// switch — yet a slice containing it without the switch is not a
-	// projection, and the paper's lexical-successor test implicitly
-	// assumes projections (footnote 2: deleting a compound deletes
-	// its body). if and while bodies cannot postdominate their
-	// predicates in structured code, so only switches need this.
+	// tag immediately enclosing its statement, or -1; condJump maps the
+	// predicate of each conditional jump statement ("if (e) goto L":
+	// an if with no else whose body is a single jump) to its jump node,
+	// and every other node to -1. They are the targets of the PDG's
+	// invariant edges (pdg.SwitchEnclosure, pdg.CondJump), kept here
+	// so the partial re-analysis tier can rebuild the PDG from them;
+	// enclosingSwitch also drives the Figure 12/13 switch candidates.
+	//
+	// Switch enclosure is needed because a C case body statement can
+	// postdominate its switch's dispatch (fall-through into default),
+	// in which case it is not control dependent on the switch — yet a
+	// slice containing it without the switch is not a projection, and
+	// the paper's lexical-successor test implicitly assumes
+	// projections (footnote 2: deleting a compound deletes its body).
+	// if and while bodies cannot postdominate their predicates in
+	// structured code, so only switches need this.
 	enclosingSwitch []int
+	condJump        []int
 
-	// Precomputed worklists for the jump-detection and normalization
-	// phases. The Figure 7 traversal only ever acts on live jump
-	// nodes, so the preorders are filtered to those once here instead
-	// of re-scanning (and re-filtering) every tree node per traversal;
-	// likewise normalizeSlice only acts on conditional-jump predicates
-	// and on switch-enclosed statements, so those are listed once
-	// instead of scanning all CFG nodes per fixpoint pass. Relative
-	// order is preserved, so traversal results are unchanged.
+	// Precomputed worklists for the jump-detection phases. The Figure
+	// 7 traversal only ever acts on live jump nodes, so the preorders
+	// are filtered to those once here instead of re-scanning (and
+	// re-filtering) every tree node per traversal. Relative order is
+	// preserved, so traversal results are unchanged.
 
 	// jumpsPDT lists the live jump node IDs in postdominator-tree
 	// preorder (Figure 7's traversal order); jumpsLST is its lexical-
 	// successor-tree twin (the paper's alternative driver).
 	jumpsPDT []int
 	jumpsLST []int
-	// condJumps lists each conditional-jump pair: an if-with-no-else
-	// predicate and the single jump statement forming its body, in
-	// ascending predicate node order.
-	condJumps []condJumpPair
-	// switchNodes lists the node IDs with enclosingSwitch >= 0,
-	// ascending.
-	switchNodes []int
 	// gotoNodes lists the goto statement nodes, in node order, for
 	// label retargeting.
 	gotoNodes []*cfg.Node
 
-	// batch holds the lazily-built condensation of the invariant-
-	// augmented dependence relation backing SliceAll (see batchEngine).
+	// batch holds the lazily-built condensation of the dependence rows
+	// backing SliceAll (see batchEngine).
 	// It sits behind a pointer so the condensation — and its sync.Once
 	// — is shared by every Rebind view of this Analysis, and so the
 	// Analysis struct itself stays free of locks and legal to copy.
@@ -178,12 +176,6 @@ func (m *coreMetrics) resolve(rec obs.Recorder) {
 	m.jumpsAdmitted = rec.Counter("core.jumps_admitted")
 	m.sliceNodes = rec.Histogram("core.slice_nodes", obs.UnitCount)
 	m.cancellations = rec.Counter("core.cancellations")
-}
-
-// condJumpPair records a conditional jump statement: the predicate
-// node of "if (e) goto L" and its jump node.
-type condJumpPair struct {
-	pred, jump int
 }
 
 // batchState is the shared lazily-built batch-engine state of one
@@ -288,7 +280,8 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Rec
 		return nil, err
 	}
 	end = phase("phase.analyze.pdg")
-	a.PDG = pdg.Build(g, a.CDG, a.RD)
+	a.findInvariantTargets()
+	a.PDG = pdg.Build(g, a.CDG, a.RD, a.invariants())
 	end()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
@@ -304,9 +297,27 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Rec
 	for id := range g.Reachable() {
 		a.live[id] = true
 	}
+	a.jumpsPDT = a.filterLiveJumps(a.PDT.Preorder())
+	a.jumpsLST = a.filterLiveJumps(a.LST.Preorder())
+	for _, n := range g.Nodes {
+		if n.Kind == cfg.KindGoto {
+			a.gotoNodes = append(a.gotoNodes, n)
+		}
+	}
+	end()
+	endTotal()
+	return a, nil
+}
+
+// findInvariantTargets fills enclosingSwitch and condJump from the
+// program's syntax.
+func (a *Analysis) findInvariantTargets() {
+	g := a.CFG
 	a.enclosingSwitch = make([]int, len(g.Nodes))
+	a.condJump = make([]int, len(g.Nodes))
 	for i := range a.enclosingSwitch {
 		a.enclosingSwitch[i] = -1
+		a.condJump[i] = -1
 	}
 	var record func(s lang.Stmt, sw int)
 	record = func(s lang.Stmt, sw int) {
@@ -339,29 +350,21 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Rec
 			}
 		}
 	}
-	for _, s := range prog.Body {
+	for _, s := range a.Prog.Body {
 		record(s, -1)
 	}
-	a.jumpsPDT = a.filterLiveJumps(a.PDT.Preorder())
-	a.jumpsLST = a.filterLiveJumps(a.LST.Preorder())
 	for _, n := range g.Nodes {
 		if n.Kind == cfg.KindPredicate {
 			if j := a.conditionalJumpOf(n); j != nil {
-				a.condJumps = append(a.condJumps, condJumpPair{n.ID, j.ID})
+				a.condJump[n.ID] = j.ID
 			}
 		}
-		if n.Kind == cfg.KindGoto {
-			a.gotoNodes = append(a.gotoNodes, n)
-		}
 	}
-	for id, sw := range a.enclosingSwitch {
-		if sw >= 0 {
-			a.switchNodes = append(a.switchNodes, id)
-		}
-	}
-	end()
-	endTotal()
-	return a, nil
+}
+
+// invariants returns the invariant-edge targets pdg.Build encodes.
+func (a *Analysis) invariants() pdg.Invariants {
+	return pdg.Invariants{CondJump: a.condJump, SwitchEnclosure: a.enclosingSwitch}
 }
 
 // Recorder returns the observability recorder attached at analysis

@@ -1,21 +1,88 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"jumpslice/internal/bits"
+	"jumpslice/internal/cfg"
 	"jumpslice/internal/lang"
 	"jumpslice/internal/progen"
 )
 
-// seedRepairJumps is the seed implementation of the Figure 7 loop,
-// kept verbatim as a reference: a full postdominator-tree preorder
-// scan per traversal, filtering non-jumps and dead nodes on the fly,
-// with BFS dependence closures. The production repairJumps now runs
-// over the precomputed live-jump worklist with pluggable closure
-// engines; the tests below pin it to this reference — same final set,
-// same traversal count, same jump-addition order.
+// The seed formulation of the paper's algorithms, kept verbatim as a
+// test-only reference. It walks the plain PDG.Deps rows and restores
+// the two slice invariants by a grow-then-rescan fixpoint, re-deriving
+// the invariant pairs from the program's syntax, so it shares nothing
+// with the invariant edges pdg.Build appends to the rows the
+// production engines walk.
+
+// seedGrow adds seed and its backward closure over the plain
+// dependence rows to set, stopping at nodes already in set.
+func seedGrow(a *Analysis, set *bits.Set, seed int) {
+	if set.Has(seed) {
+		return
+	}
+	set.Add(seed)
+	stack := []int{seed}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, d := range a.PDG.Deps(n) {
+			if !set.Has(d) {
+				set.Add(d)
+				stack = append(stack, d)
+			}
+		}
+	}
+}
+
+// seedNormalize closes set under the conditional-jump adaptation and
+// switch enclosure, iterating both passes to a joint fixpoint.
+func seedNormalize(a *Analysis, set *bits.Set) {
+	for changed := true; changed; {
+		changed = false
+		for _, n := range a.CFG.Nodes {
+			if n.Kind != cfg.KindPredicate || !set.Has(n.ID) {
+				continue
+			}
+			if j := a.conditionalJumpOf(n); j != nil && !set.Has(j.ID) {
+				seedGrow(a, set, j.ID)
+				changed = true
+			}
+		}
+		for id, sw := range a.enclosingSwitch {
+			if sw >= 0 && set.Has(id) && !set.Has(sw) {
+				seedGrow(a, set, sw)
+				changed = true
+			}
+		}
+	}
+}
+
+// seedConventional is the reference conventional slice set.
+func seedConventional(a *Analysis, c Criterion) *bits.Set {
+	seeds, err := a.resolveCriterion(c)
+	if err != nil {
+		panic(err)
+	}
+	set := bits.New(a.CFG.NumNodes())
+	for _, v := range seeds {
+		seedGrow(a, set, v)
+	}
+	set.Add(a.CFG.Entry.ID)
+	seedNormalize(a, set)
+	return set
+}
+
+// seedRepairJumps is the reference Figure 7 loop: a full
+// postdominator-tree preorder scan per traversal, filtering non-jumps
+// and dead nodes on the fly, growing and re-normalizing after each
+// admitted jump. The production repairJumps runs over the precomputed
+// live-jump worklist with pluggable closure engines; the tests below
+// pin it to this reference — same final set, same traversal count,
+// same jump-addition order.
 func seedRepairJumps(a *Analysis, set *bits.Set) (jumpsAdded []int, traversals int) {
 	order := a.PDT.Preorder()
 	for {
@@ -29,10 +96,8 @@ func seedRepairJumps(a *Analysis, set *bits.Set) (jumpsAdded []int, traversals i
 			if a.nearestPostdomInSlice(v, set) == a.nearestLexInSlice(v, set) {
 				continue
 			}
-			a.PDG.GrowClosure(set, v)
-			if err := a.normalizeSlice(set, bfsEngine{p: a.PDG}); err != nil {
-				panic(err)
-			}
+			seedGrow(a, set, v)
+			seedNormalize(a, set)
 			jumpsAdded = append(jumpsAdded, v)
 			changed = true
 		}
@@ -111,10 +176,12 @@ func TestPropertySliceAllEqualsAgrawal(t *testing.T) {
 	}
 }
 
-// TestPropertyWorklistMatchesSeedRepair asserts the precomputed
-// jump-worklist traversal reproduces the seed implementation exactly:
-// same final set, same Traversals, same JumpsAdded order — on both
-// corpora, under both closure engines.
+// TestPropertyWorklistMatchesSeedRepair asserts production slicing
+// reproduces the seed formulation exactly: the conventional set, then
+// the Figure 7 repair's final set, Traversals and JumpsAdded order —
+// on both corpora, under both closure engines. It also pins the
+// one-pass NormalizeSlice to the seed fixpoint on random node subsets,
+// the sets the baselines hand it.
 func TestPropertyWorklistMatchesSeedRepair(t *testing.T) {
 	const seeds = 120
 	batchCases(t, seeds, func(t *testing.T, corpus string, seed int64, a *Analysis, crits []Criterion) {
@@ -123,7 +190,10 @@ func TestPropertyWorklistMatchesSeedRepair(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d %s: conventional: %v", corpus, seed, c, err)
 			}
-			refSet := conv.Nodes.Clone()
+			refSet := seedConventional(a, c)
+			if !conv.Nodes.Equal(refSet) {
+				t.Errorf("%s seed %d %s: conventional %v, seed impl %v", corpus, seed, c, conv.Nodes, refSet)
+			}
 			refJumps, refTraversals := seedRepairJumps(a, refSet)
 			for _, eng := range []struct {
 				name string
@@ -143,6 +213,24 @@ func TestPropertyWorklistMatchesSeedRepair(t *testing.T) {
 				if !reflect.DeepEqual(jumps, refJumps) {
 					t.Errorf("%s seed %d %s [%s]: worklist jumps %v, seed impl %v", corpus, seed, c, eng.name, jumps, refJumps)
 				}
+			}
+		}
+
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 4; trial++ {
+			got := bits.New(a.CFG.NumNodes())
+			for v := 0; v < a.CFG.NumNodes(); v++ {
+				if rng.Intn(4) == 0 {
+					got.Add(v)
+				}
+			}
+			want := got.Clone()
+			if err := a.NormalizeSlice(got); err != nil {
+				t.Fatalf("%s seed %d: NormalizeSlice: %v", corpus, seed, err)
+			}
+			seedNormalize(a, want)
+			if !got.Equal(want) {
+				t.Errorf("%s seed %d trial %d: NormalizeSlice %v, seed impl %v", corpus, seed, trial, got, want)
 			}
 		}
 	})

@@ -9,9 +9,9 @@ import (
 // AnalyzeObservedContext carries its request's context, and every
 // phase of the pipeline consults it at bounded intervals: Analyze
 // checks between construction phases, the Figure 7/12/13 fixpoint
-// loops check once per traversal and every cancelCheckJumps candidate
-// examinations, and the dependence-closure engines check every few
-// hundred node visits (internal/pdg's cancelCheckNodes and
+// loops check once per traversal, once per admitted jump and every
+// cancelCheckJumps candidate examinations, and the dependence-closure
+// engines check every few hundred node visits (internal/pdg's cancelCheckNodes and
 // cancelCheckComps). A canceled context therefore aborts an in-flight
 // analysis within a bounded amount of work, the observed cancellation
 // is journaled as a trace event (kind "cancel", named after the site

@@ -98,10 +98,12 @@ func criteriaOf(t *testing.T, a *Analysis) []Criterion {
 // Agrawal slice consumes, then replays the same slice with the
 // countdown set to each intermediate value. Every replay must fail
 // with an error wrapping context.Canceled (never a panic, never a
-// wrong slice), and must journal a "cancel" trace event naming the
-// site that noticed.
+// wrong slice), and must journal exactly one "cancel" trace event
+// naming the site that noticed. The criterion is the one whose repair
+// admits the most jumps, and every admission must be followed by a
+// check that lands a cancellation inside the Figure 7 fixpoint.
 func TestCancelMidSlice(t *testing.T) {
-	p := progen.Unstructured(progen.Config{Seed: 7, Stmts: 60})
+	p := progen.Unstructured(progen.Config{Seed: 7, Stmts: 400})
 
 	// Budget Err() generously so analysis and the probe slice both
 	// complete; what we count is the slice's own consumption.
@@ -111,17 +113,31 @@ func TestCancelMidSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crit := criteriaOf(t, a)[0]
-	afterAnalyze := probe.calls(budget)
+	var crit Criterion
+	admitted := 0
+	for _, c := range criteriaOf(t, a) {
+		s, err := a.Agrawal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.JumpsAdded) > admitted {
+			crit, admitted = c, len(s.JumpsAdded)
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("no criterion admits a jump; the fixpoint has no middle to cancel in")
+	}
+	before := probe.calls(budget)
 	want, err := a.Agrawal(crit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sliceChecks := probe.calls(budget) - afterAnalyze
+	sliceChecks := probe.calls(budget) - before
 	if sliceChecks < 2 {
 		t.Fatalf("slice consumed %d cancellation checks; cadence too coarse to test", sliceChecks)
 	}
 
+	midSlice := 0
 	for k := int64(0); k < sliceChecks; k++ {
 		fr := obs.NewFlightRecorder(256)
 		reg := obs.NewRegistry()
@@ -143,12 +159,18 @@ func TestCancelMidSlice(t *testing.T) {
 		if s != nil {
 			t.Errorf("k=%d: canceled slice returned a non-nil result", k)
 		}
-		cancels := 0
+		cancels, jumps := 0, 0
 		for _, ev := range fr.Events() {
-			if ev.Kind == obs.KindCancel {
+			switch ev.Kind {
+			case obs.KindJumpAdmitted:
+				jumps++
+			case obs.KindCancel:
 				cancels++
+				if jumps > 0 {
+					midSlice++
+				}
 				switch ev.Name {
-				case "fig7", "closure", "normalize", "analyze":
+				case "fig7", "closure", "analyze":
 				default:
 					t.Errorf("k=%d: cancel event at unexpected site %q", k, ev.Name)
 				}
@@ -157,6 +179,9 @@ func TestCancelMidSlice(t *testing.T) {
 		if cancels != 1 {
 			t.Errorf("k=%d: journaled %d cancel events, want exactly 1", k, cancels)
 		}
+	}
+	if midSlice < admitted {
+		t.Errorf("%d replays canceled after a jump admission, want at least one per admitted jump (%d)", midSlice, admitted)
 	}
 
 	// A fresh uncanceled run still yields the reference slice: the

@@ -12,7 +12,9 @@ import (
 // predicate of a conditional jump statement such as "if (e) goto L" is
 // in the slice, the associated jump is included too, "for the
 // predicate will not serve any purpose in the slice without the
-// accompanying jump" (Section 3).
+// accompanying jump" (Section 3). Both that adaptation and switch
+// enclosure are invariant edges of the PDG rows the closure walks
+// (see pdg.Invariant), so the closure alone maintains them.
 //
 // On programs without jump statements this is the classic Ottenstein &
 // Ottenstein PDG slice and is correct; on programs with jumps it is
@@ -43,9 +45,6 @@ func (a *Analysis) conventionalWith(c Criterion, eng depEngine) (*Slice, error) 
 	// also covers criteria in dead code, whose statements have no
 	// dependence path to anything.
 	set.Add(a.CFG.Entry.ID)
-	if err := a.normalizeSlice(set, eng); err != nil {
-		return nil, err
-	}
 	return &Slice{
 		Analysis:  a,
 		Criterion: c,
@@ -53,88 +52,6 @@ func (a *Analysis) conventionalWith(c Criterion, eng depEngine) (*Slice, error) 
 		Nodes:     set,
 		Relabeled: a.retargetLabels(set),
 	}, nil
-}
-
-// normalizeSlice closes a slice set under the two invariants every
-// slice of this package maintains, iterating to a joint fixpoint:
-//
-//  1. The conditional-jump adaptation (Section 3): when the predicate
-//     of a conditional jump statement such as "if (e) goto L" is in
-//     the slice, the associated jump is included too (with the
-//     closure of its dependences). A closure can pull in further
-//     conditional-jump predicates — the paper's Figure 8, where
-//     including jumps 11 and 13 pulls in predicate 9, whose own goto
-//     must then be included.
-//  2. The switch-enclosure invariant: a statement inside a switch
-//     brings the switch tag (with its dependence closure). A case
-//     body statement that postdominates the dispatch — fall-through
-//     into a default, say — is not control dependent on the switch,
-//     so the dependence closure alone can strand it outside its
-//     enclosing construct; a slice is a projection of the program, so
-//     that must not happen (and the lexical-successor test of Figure
-//     7 implicitly assumes it does not).
-//
-// Both passes run over worklists precomputed at Analyze time (the
-// conditional-jump pairs and the switch-enclosed nodes) rather than
-// scanning every CFG node; the worklists preserve node order, so the
-// fixpoint reached is identical.
-//
-// Engines whose closures bake the invariants in as dependence edges
-// (the batch condensation) are already at the fixpoint, so the passes
-// are skipped outright.
-func (a *Analysis) normalizeSlice(set *bits.Set, eng depEngine) error {
-	if eng.closuresNormalized() {
-		return nil
-	}
-	for {
-		if err := a.checkCancel("normalize"); err != nil {
-			return err
-		}
-		changed, err := a.condJumpAdaptationOnce(set, eng)
-		if err != nil {
-			return err
-		}
-		swChanged, err := a.enforceSwitchEnclosureOnce(set, eng)
-		if err != nil {
-			return err
-		}
-		if !changed && !swChanged {
-			return nil
-		}
-	}
-}
-
-// condJumpAdaptationOnce performs one pass of invariant 1, reporting
-// whether anything was added.
-func (a *Analysis) condJumpAdaptationOnce(set *bits.Set, eng depEngine) (bool, error) {
-	changed := false
-	for _, cj := range a.condJumps {
-		if set.Has(cj.pred) && !set.Has(cj.jump) {
-			if _, err := eng.grow(set, cj.jump); err != nil {
-				return false, err
-			}
-			changed = true
-		}
-	}
-	return changed, nil
-}
-
-// enforceSwitchEnclosureOnce performs one pass of invariant 2,
-// reporting whether anything was added.
-func (a *Analysis) enforceSwitchEnclosureOnce(set *bits.Set, eng depEngine) (bool, error) {
-	changed := false
-	for _, id := range a.switchNodes {
-		if !set.Has(id) {
-			continue
-		}
-		if sw := a.enclosingSwitch[id]; !set.Has(sw) {
-			if _, err := eng.grow(set, sw); err != nil {
-				return false, err
-			}
-			changed = true
-		}
-	}
-	return changed, nil
 }
 
 // conditionalJumpOf returns the jump node of a conditional jump
@@ -168,12 +85,24 @@ func (a *Analysis) RetargetLabels(set *bits.Set) map[string]int {
 	return a.retargetLabels(set)
 }
 
-// NormalizeSlice exposes the slice invariants (conditional-jump
-// adaptation and switch enclosure) to baseline algorithms that build
-// their own slice sets. The error is non-nil only when the Analysis's
-// context was canceled mid-normalization.
+// NormalizeSlice closes a slice set built outside the engines — by
+// Weiser's dataflow equations, over an augmented flowgraph, from a
+// dynamic trace — under the slice invariants: every member's invariant
+// targets (conditional jump, enclosing switch tag) join the set with
+// their dependence closure. One pass suffices, because each grow walks
+// the full PDG rows and so only adds nodes already closed under both
+// invariants. The error is non-nil only when the Analysis's context
+// was canceled mid-closure.
 func (a *Analysis) NormalizeSlice(set *bits.Set) error {
-	return a.normalizeSlice(set, a.engine())
+	eng := a.engine()
+	for m := set.NextSet(0); m >= 0; m = set.NextSet(m + 1) {
+		for _, t := range a.PDG.InvariantDeps(m) {
+			if _, err := eng.grow(set, t); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // retargetLabels applies the paper's final step: "For each goto

@@ -9,14 +9,16 @@ import (
 // Every slicing algorithm in this package is written against it, so
 // the same Figure-7 logic runs on either engine:
 //
-//   - bfsEngine walks the PDG per call (the paper's formulation;
+//   - bfsEngine walks the PDG rows per call (the paper's formulation;
 //     no setup cost, right for one-off slices), and
-//   - condEngine unions memoized SCC-component closures (word-parallel
-//     bitset work shared across criteria; right for batch slicing).
+//   - condEngine unions memoized SCC-component closures of the same
+//     rows (word-parallel bitset work shared across criteria; right
+//     for batch slicing).
 //
-// The two are interchangeable by construction — both compute the same
-// least fixpoint over the same dependence relation — and the batch
-// property tests assert it.
+// Both walk the PDG's full rows, invariant edges included, so every
+// closure is closed under the slice invariants and the two engines
+// differ only in memoization; the batch property tests assert they
+// agree.
 //
 // Both engines carry the Analysis's cancellation callback (nil unless
 // the Analysis was built with a cancelable context), and their
@@ -27,10 +29,6 @@ type depEngine interface {
 	backwardClosure(seeds []int) (*bits.Set, error)
 	// grow unions seed's closure into set, reporting whether set grew.
 	grow(set *bits.Set, seed int) (bool, error)
-	// closuresNormalized reports whether closures from this engine
-	// already satisfy the slice invariants (conditional-jump
-	// adaptation and switch enclosure), making normalizeSlice a no-op.
-	closuresNormalized() bool
 }
 
 type bfsEngine struct {
@@ -44,7 +42,6 @@ func (e bfsEngine) backwardClosure(seeds []int) (*bits.Set, error) {
 func (e bfsEngine) grow(set *bits.Set, seed int) (bool, error) {
 	return e.p.GrowClosureCancel(set, seed, e.cancel)
 }
-func (e bfsEngine) closuresNormalized() bool { return false }
 
 type condEngine struct {
 	c      *pdg.Condensation
@@ -57,25 +54,15 @@ func (e condEngine) backwardClosure(seeds []int) (*bits.Set, error) {
 func (e condEngine) grow(set *bits.Set, seed int) (bool, error) {
 	return e.c.GrowClosureCancel(set, seed, e.cancel)
 }
-func (e condEngine) closuresNormalized() bool { return true }
 
 // engine returns the per-call BFS engine, the default for the
 // single-criterion entry points.
 func (a *Analysis) engine() depEngine { return bfsEngine{a.PDG, a.cancelf} }
 
 // batchEngine returns the condensation-backed engine, building the
-// condensation on first use and caching it on the Analysis so every
-// batch call — and every criterion within one — shares the memoized
-// component closures.
-//
-// The condensed relation is the PDG's dependence edges augmented with
-// the two invariants normalizeSlice maintains, encoded as edges:
-// predicate → its conditional jump (Section 3's adaptation) and
-// statement → its enclosing switch tag. A slice built as a union of
-// closures over the augmented relation is closed under both
-// invariants by construction — the same least fixpoint the BFS
-// engine's grow-then-normalize loop computes — so the batch path
-// skips the normalization passes entirely.
+// condensation of the PDG rows on first use and caching it on the
+// Analysis so every batch call — and every criterion within one —
+// shares the memoized component closures.
 func (a *Analysis) batchEngine() depEngine {
 	a.batch.once.Do(func() {
 		if a.batch.cond.Load() != nil {
@@ -84,27 +71,7 @@ func (a *Analysis) batchEngine() depEngine {
 		sp := a.rec.StartSpan("phase.analyze.condense")
 		ts := a.tr.StartSpan("phase.analyze.condense")
 		defer func() { ts.End(); sp.End() }()
-		n := a.CFG.NumNodes()
-		aug := make([][]int, n)
-		extra := make(map[int][]int, len(a.condJumps)+len(a.switchNodes))
-		for _, cj := range a.condJumps {
-			extra[cj.pred] = append(extra[cj.pred], cj.jump)
-		}
-		for _, id := range a.switchNodes {
-			extra[id] = append(extra[id], a.enclosingSwitch[id])
-		}
-		for v := 0; v < n; v++ {
-			deps := a.PDG.Deps(v)
-			if add := extra[v]; len(add) > 0 {
-				merged := make([]int, 0, len(deps)+len(add))
-				merged = append(merged, deps...)
-				merged = append(merged, add...)
-				aug[v] = merged
-			} else {
-				aug[v] = deps
-			}
-		}
-		cond := pdg.Condense(aug)
+		cond := pdg.Condense(a.PDG.Rows())
 		cond.Instrument(
 			a.rec.Counter("pdg.closure_requests"),
 			a.rec.Counter("pdg.closure_hits"),

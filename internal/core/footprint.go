@@ -11,7 +11,7 @@ package core
 //
 //   - per-node cost: the cfg.Node struct and its slot in every
 //     parallel array the Analysis keeps (PDT/LST parent and children
-//     arrays, CDG adjacency headers, live/enclosingSwitch, the
+//     arrays, CDG adjacency headers, live/enclosingSwitch/condJump, the
 //     precomputed worklists), plus the retained AST statement;
 //   - per-edge cost: the PDG adjacency lists (data + merged deps) and
 //     their CDG/CFG counterparts;

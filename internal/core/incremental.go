@@ -170,15 +170,14 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	lt.CFG = g2
 	a.LST = &lt
 
-	// Worklists: live, switch enclosure, jump preorders and
-	// conditional-jump pairs are all functions of shape and node IDs;
-	// goto nodes are pointers and re-resolve into the new graph.
+	// Worklists: live, invariant-edge targets and jump preorders are
+	// all functions of shape and node IDs; goto nodes are pointers and
+	// re-resolve into the new graph.
 	a.live = prev.live
 	a.enclosingSwitch = prev.enclosingSwitch
+	a.condJump = prev.condJump
 	a.jumpsPDT = prev.jumpsPDT
 	a.jumpsLST = prev.jumpsLST
-	a.condJumps = prev.condJumps
-	a.switchNodes = prev.switchNodes
 	a.gotoNodes = make([]*cfg.Node, len(prev.gotoNodes))
 	for i, n := range prev.gotoNodes {
 		a.gotoNodes[i] = g2.Nodes[n.ID]
@@ -202,7 +201,7 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 		if err := a.checkCancel("reanalyze"); err != nil {
 			return nil, nil, err
 		}
-		a.PDG = pdg.Build(g2, a.CDG, a.RD)
+		a.PDG = pdg.Build(g2, a.CDG, a.RD, a.invariants())
 	} else {
 		// Patched tier: same definitions everywhere, so reaching
 		// definitions are untouched; only the edited statements' data
@@ -244,24 +243,9 @@ func (a *Analysis) patchCondensation(prev *Analysis, changed map[int][]int, stat
 	if prevCond == nil {
 		return
 	}
-	// Augment the edited rows exactly as batchEngine augments the full
-	// relation: dependence row, then the conditional-jump edge, then
-	// the switch-enclosure edge. Extras are shape-derived and did not
-	// change — only the dependence part of each edited row did.
 	rows := make(map[int][]int, len(changed))
 	for id := range changed {
-		deps := a.PDG.Deps(id)
-		row := make([]int, 0, len(deps)+2)
-		row = append(row, deps...)
-		for _, cj := range a.condJumps {
-			if cj.pred == id {
-				row = append(row, cj.jump)
-			}
-		}
-		if sw := a.enclosingSwitch[id]; sw >= 0 {
-			row = append(row, sw)
-		}
-		rows[id] = row
+		rows[id] = a.PDG.Rows()[id]
 	}
 	q, ok := prevCond.Patched(rows)
 	if !ok {

@@ -134,24 +134,14 @@ func AnalyzeProgramSetObservedContext(ctx context.Context, prog *lang.Program, r
 	infos := make([]*sdg.ProcInfo, len(ps.Units))
 	for i, u := range ps.Units {
 		info := &sdg.ProcInfo{
-			Name:  u.Name,
-			CFG:   u.Sub.CFG,
-			CDG:   u.Sub.CDG,
-			RD:    u.Sub.RD,
-			Extra: map[int][]int{},
+			Name: u.Name,
+			CFG:  u.Sub.CFG,
+			PDG:  u.Sub.PDG,
+			RD:   u.Sub.RD,
 		}
 		if u.Decl != nil {
 			info.Params = u.Decl.Params
 			info.DeclLine = u.Decl.P.Line
-		}
-		// The two slice invariants the engines encode as extra
-		// dependence edges (see batchEngine): closures over the SDG
-		// are normalized by construction.
-		for _, cj := range u.Sub.condJumps {
-			info.Extra[cj.pred] = append(info.Extra[cj.pred], cj.jump)
-		}
-		for _, id := range u.Sub.switchNodes {
-			info.Extra[id] = append(info.Extra[id], u.Sub.enclosingSwitch[id])
 		}
 		infos[i] = info
 	}
@@ -393,14 +383,13 @@ func procTouched(g *sdg.Graph, set *bits.Set, pi int) bool {
 // jump admitted in a procedure only reached by descent joins the
 // second pass and never re-ascends.
 //
-// Closures over the SDG carry the invariant edges, so they are
-// normalized by construction.
+// The SDG carries each procedure PDG's invariant edges, so its
+// closures are closed under the slice invariants like the
+// intraprocedural engines' are.
 type funcEngine struct {
 	s *InterSlice
 	u *ProcUnit
 }
-
-func (e funcEngine) closuresNormalized() bool { return true }
 
 func (e funcEngine) backwardClosure(seeds []int) (*bits.Set, error) {
 	set := bits.New(e.u.Sub.CFG.NumNodes())

@@ -83,13 +83,16 @@ func (a *Analysis) AgrawalStructured(c Criterion) (*Slice, error) {
 			// data dependence the property's argument never mentions)
 			// and widened (switch fall-through) candidates whose
 			// guards are outside the slice.
-			if err := a.addJumpWithClosure(set, v, eng); err != nil {
+			if _, err := eng.grow(set, v); err != nil {
 				return nil, err
 			}
 			s.JumpsAdded = append(s.JumpsAdded, v)
 			s.JumpRules = append(s.JumpRules, JumpRule{NearestPD: pd, NearestLS: ls})
 			a.m.jumpsAdmitted.Add(1)
 			a.tr.JumpAdmitted("fig12", v, pd, ls)
+			if err := a.checkCancel("fig12"); err != nil {
+				return nil, err
+			}
 			changed = true
 		}
 		if !changed {
@@ -152,7 +155,7 @@ func (a *Analysis) AgrawalConservative(c Criterion) (*Slice, error) {
 				}
 			}
 			if a.directCandidate(j.ID, set) || a.switchCandidate(j.ID, set) {
-				if err := a.addJumpWithClosure(set, j.ID, eng); err != nil {
+				if _, err := eng.grow(set, j.ID); err != nil {
 					return nil, err
 				}
 				s.JumpsAdded = append(s.JumpsAdded, j.ID)
@@ -160,6 +163,9 @@ func (a *Analysis) AgrawalConservative(c Criterion) (*Slice, error) {
 				// Figure 13 admits by the candidate rule, not the
 				// nearest-PD/nearest-LS test; no evidence to carry.
 				a.tr.JumpAdmitted("fig13", j.ID, -1, -1)
+				if err := a.checkCancel("fig13"); err != nil {
+					return nil, err
+				}
 				changed = true
 			}
 		}

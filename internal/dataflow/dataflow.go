@@ -19,6 +19,7 @@
 package dataflow
 
 import (
+	"slices"
 	"sort"
 
 	"jumpslice/internal/bits"
@@ -240,21 +241,20 @@ func (r *ReachingDefs) DataDeps() [][]int {
 // recomputes the dependence row of an edited statement against an
 // unchanged reaching-definitions result.
 func (r *ReachingDefs) DataDepsOf(n *cfg.Node) []int {
-	seen := map[int]bool{}
+	var deps []int
+	in := r.In[n.ID]
 	for _, v := range usesOf(n) {
-		for _, d := range r.ReachingDefsOf(n.ID, v) {
-			seen[d] = true
+		for _, di := range r.defsOf[v] {
+			if in.Has(di) {
+				deps = append(deps, r.Defs[di].Node)
+			}
 		}
 	}
-	if len(seen) == 0 {
+	if len(deps) == 0 {
 		return nil
 	}
-	deps := make([]int, 0, len(seen))
-	for d := range seen {
-		deps = append(deps, d)
-	}
-	sort.Ints(deps)
-	return deps
+	slices.Sort(deps)
+	return slices.Compact(deps)
 }
 
 // WithGraph returns a view of the same reaching-definitions result

@@ -42,21 +42,10 @@ type Condensation struct {
 	tracer *obs.Tracer
 }
 
-// Condensation returns the SCC condensation of the graph's dependence
-// edges, building it on first use and caching it (and its memoized
-// component closures) on the Graph for every later call.
-func (p *Graph) Condensation() *Condensation {
-	p.condOnce.Do(func() { p.cond = Condense(p.deps) })
-	return p.cond
-}
-
-// Condense builds the condensation of an arbitrary dependence
-// relation given as adjacency lists (adj[n] = the nodes n depends
-// on). Callers that need closure under extra, non-PDG invariants —
-// core's conditional-jump adaptation and switch enclosure — encode
-// them as additional edges and condense the augmented relation, which
-// makes every memoized closure satisfy the invariants by
-// construction.
+// Condense builds the condensation of a dependence relation given as
+// adjacency lists (adj[n] = the nodes n depends on) — typically a
+// Graph's Rows, whose invariant edges make every memoized closure
+// satisfy the slice invariants by construction.
 //
 // The SCC pass is an iterative Tarjan over the relation. The explicit
 // stack keeps deep dependence chains (one per statement in a
@@ -246,9 +235,6 @@ func (c *Condensation) Instrument(requests, hits, builds *obs.Counter) {
 // detaches; the nil tracer is a no-op). Like Instrument, call it
 // before the condensation is shared across goroutines.
 func (c *Condensation) Trace(t *obs.Tracer) { c.tracer = t }
-
-// NumComponents returns the number of strongly connected components.
-func (c *Condensation) NumComponents() int { return len(c.comps) }
 
 // Component returns the component index of node n.
 func (c *Condensation) Component(n int) int { return c.comp[n] }

@@ -13,7 +13,7 @@ import (
 func TestCondensationMatchesBFSOnFigures(t *testing.T) {
 	for _, f := range paper.All() {
 		g, p := build(t, f.Source)
-		c := p.Condensation()
+		c := Condense(p.Rows())
 		for id := range g.Nodes {
 			want := p.BackwardClosure([]int{id})
 			if got := c.ClosureOf(id); !got.Equal(want) {
@@ -40,7 +40,7 @@ func TestCondensationMatchesBFSOnFigures(t *testing.T) {
 func TestCondensationGrowMatchesBFS(t *testing.T) {
 	for _, f := range paper.All() {
 		g, p := build(t, f.Source)
-		c := p.Condensation()
+		c := Condense(p.Rows())
 		bfs := p.BackwardClosure([]int{g.Entry.ID})
 		cond := bfs.Clone()
 		for id := range g.Nodes {
@@ -61,7 +61,7 @@ func TestCondensationGrowMatchesBFS(t *testing.T) {
 func TestCondensationTopologicalOrder(t *testing.T) {
 	for _, f := range paper.All() {
 		g, p := build(t, f.Source)
-		c := p.Condensation()
+		c := Condense(p.Rows())
 		total := 0
 		for cid, members := range c.comps {
 			total += len(members)
@@ -82,21 +82,12 @@ func TestCondensationTopologicalOrder(t *testing.T) {
 	}
 }
 
-// TestCondensationCachedOnGraph asserts repeated Condensation calls
-// return the same instance (the cross-criteria cache).
-func TestCondensationCachedOnGraph(t *testing.T) {
-	_, p := build(t, paper.Fig3().Source)
-	if p.Condensation() != p.Condensation() {
-		t.Error("Condensation not cached on the Graph")
-	}
-}
-
 // TestCondensationCycle exercises a dependence cycle (loop-carried
 // data dependence plus control self-dependence of a while header):
 // all cycle members must share a component and a closure.
 func TestCondensationCycle(t *testing.T) {
 	g, p := build(t, "read(n);\nwhile (n > 0)\nn = n - 1;\nwrite(n);")
-	c := p.Condensation()
+	c := Condense(p.Rows())
 	hdr := g.NodesAtLine(2)[0]
 	dec := g.NodesAtLine(3)[0]
 	if c.Component(hdr.ID) != c.Component(dec.ID) {

@@ -32,7 +32,7 @@ func TestRederiveMatchesBuild(t *testing.T) {
 		pdt := dom.PostDominators(g2, g2.Exit.ID)
 		cd := cdg.Build(g2, pdt)
 		rd := dataflow.Reach(g2)
-		want := Build(g2, cd, rd)
+		want := Build(g2, cd, rd, Invariants{})
 
 		// Rederive every node's row one at a time from the original.
 		for id := range g.Nodes {

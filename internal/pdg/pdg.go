@@ -3,11 +3,17 @@
 // dependence graph of Ottenstein & Ottenstein (reference [24] in the
 // paper), and provides the backward reachability that powers the
 // conventional slicing algorithm.
+//
+// The graph is the one dependence relation every slicing engine
+// walks: each node's row holds its data and control dependences
+// followed by its invariant edges — the slice invariants of the
+// paper's Section 3 and of switch enclosure, encoded as tagged
+// dependence edges — so any backward closure over the rows is closed
+// under both invariants by construction.
 package pdg
 
 import (
-	"sort"
-	"sync"
+	mbits "math/bits"
 
 	"jumpslice/internal/bits"
 	"jumpslice/internal/cdg"
@@ -15,73 +21,116 @@ import (
 	"jumpslice/internal/dataflow"
 )
 
+// Invariant names a slice invariant Build encodes as a tagged edge.
+type Invariant uint8
+
+const (
+	// CondJump is the edge from the predicate of a conditional jump
+	// statement such as "if (e) goto L" to its jump: the predicate
+	// serves no purpose in a slice without the accompanying jump
+	// (Section 3's adaptation). As an edge it also covers predicates a
+	// later closure pulls in — the paper's Figure 8, where admitting
+	// jumps 11 and 13 brings predicate 9, and so its goto.
+	CondJump Invariant = iota
+	// SwitchEnclosure is the edge from a statement to the switch tag
+	// immediately enclosing it: a slice is a projection of the
+	// program, so a case body statement cannot appear without its
+	// switch, even when it postdominates the dispatch and so is not
+	// control dependent on it.
+	SwitchEnclosure
+)
+
+// Invariants lists, per node ID, the target of each invariant edge,
+// or -1 for none. A nil list means no edges of that kind.
+type Invariants struct {
+	CondJump        []int
+	SwitchEnclosure []int
+}
+
 // Graph is a program dependence graph over the nodes of a flowgraph.
 type Graph struct {
 	CFG *cfg.Graph
 	CDG *cdg.Graph
 
 	dataDeps [][]int // dataDeps[n]: nodes n is data dependent on
-	deps     [][]int // union of data and control deps, sorted
-
-	// cond is the lazily-built SCC condensation with its memoized
-	// component closures; see Condensation.
-	condOnce sync.Once
-	cond     *Condensation
+	// rows[n] is n's full dependence row: the sorted union of its data
+	// and control dependences (Deps), then its invariant targets in
+	// Invariant order (the tail). inv[n] has bit k set when the tail
+	// holds an edge of kind k.
+	rows [][]int
+	inv  []uint8
 }
 
-// Build merges control and data dependence. The control dependence
-// graph may come from either the plain flowgraph (Agrawal's setting)
-// or an augmented flowgraph (the Ball–Horwitz baseline); the data
-// dependence always comes from the plain flowgraph, which is why the
-// reaching-definitions result is a separate argument.
-func Build(g *cfg.Graph, cd *cdg.Graph, rd *dataflow.ReachingDefs) *Graph {
+// Build merges control and data dependence and appends the invariant
+// edges. The control dependence graph may come from either the plain
+// flowgraph (Agrawal's setting) or an augmented flowgraph (the
+// Ball–Horwitz baseline); the data dependence always comes from the
+// plain flowgraph, which is why the reaching-definitions result is a
+// separate argument.
+func Build(g *cfg.Graph, cd *cdg.Graph, rd *dataflow.ReachingDefs, inv Invariants) *Graph {
 	p := &Graph{CFG: g, CDG: cd}
 	p.dataDeps = rd.DataDeps()
-	p.deps = make([][]int, len(g.Nodes))
-	for n := range p.deps {
-		p.deps[n] = mergeDeps(p.dataDeps[n], cd.ParentIDs(n))
+	p.rows = make([][]int, len(g.Nodes))
+	p.inv = make([]uint8, len(g.Nodes))
+	byKind := [...][]int{CondJump: inv.CondJump, SwitchEnclosure: inv.SwitchEnclosure}
+	for n := range p.rows {
+		var buf [len(byKind)]int
+		tail := buf[:0]
+		for k, targets := range byKind {
+			if targets != nil && targets[n] >= 0 {
+				tail = append(tail, targets[n])
+				p.inv[n] |= 1 << k
+			}
+		}
+		p.rows[n] = mergeRow(p.dataDeps[n], cd.ParentIDs(n), tail)
 	}
 	return p
 }
 
-// mergeDeps unions a data-dependence row with a control-dependence
-// row, de-duplicated and sorted.
-func mergeDeps(data, control []int) []int {
-	seen := map[int]bool{}
-	for _, d := range data {
-		seen[d] = true
-	}
-	for _, d := range control {
-		seen[d] = true
-	}
-	if len(seen) == 0 {
+// mergeRow merges a data-dependence row and a control-dependence row,
+// each sorted and de-duplicated, into a fresh sorted, de-duplicated
+// row followed by the invariant tail.
+func mergeRow(data, control, tail []int) []int {
+	if len(data)+len(control)+len(tail) == 0 {
 		return nil
 	}
-	merged := make([]int, 0, len(seen))
-	for d := range seen {
-		merged = append(merged, d)
+	row := make([]int, 0, len(data)+len(control)+len(tail))
+	i, j := 0, 0
+	for i < len(data) && j < len(control) {
+		switch d, c := data[i], control[j]; {
+		case d < c:
+			row = append(row, d)
+			i++
+		case c < d:
+			row = append(row, c)
+			j++
+		default:
+			row = append(row, d)
+			i++
+			j++
+		}
 	}
-	sort.Ints(merged)
-	return merged
+	row = append(row, data[i:]...)
+	row = append(row, control[j:]...)
+	return append(row, tail...)
 }
 
 // Rederive returns a graph over a shape-identical flowgraph that
 // shares every dependence row of p except those of the nodes in
 // newDataDeps, whose rows are replaced and re-merged with control
-// dependence. It is the incremental engine's PDG step: after a
-// same-shape edit, only the edited statements' data-dependence rows
-// can differ, so rebuilding the whole graph is wasted work. p is not
-// modified; the returned graph's condensation is rebuilt lazily
-// unless the caller patches one in.
+// dependence, keeping their invariant tails. It is the incremental
+// engine's PDG step: after a same-shape edit, only the edited
+// statements' data-dependence rows can differ, so rebuilding the
+// whole graph is wasted work. p is not modified.
 func (p *Graph) Rederive(g *cfg.Graph, cd *cdg.Graph, newDataDeps map[int][]int) *Graph {
-	q := &Graph{CFG: g, CDG: cd}
+	q := &Graph{CFG: g, CDG: cd, inv: p.inv}
 	q.dataDeps = make([][]int, len(p.dataDeps))
 	copy(q.dataDeps, p.dataDeps)
-	q.deps = make([][]int, len(p.deps))
-	copy(q.deps, p.deps)
+	q.rows = make([][]int, len(p.rows))
+	copy(q.rows, p.rows)
 	for n, dd := range newDataDeps {
 		q.dataDeps[n] = dd
-		q.deps[n] = mergeDeps(dd, cd.ParentIDs(n))
+		q.rows[n] = mergeRow(dd, cd.ParentIDs(n), p.InvariantDeps(n))
 	}
 	return q
 }
@@ -94,9 +143,41 @@ func (p *Graph) DataDeps(n int) []int { return p.dataDeps[n] }
 // de-duplicated and sorted.
 func (p *Graph) ControlDeps(n int) []int { return p.CDG.ParentIDs(n) }
 
-// Deps returns the union of data and control dependences of n, sorted.
-// The slice is shared; callers must not modify it.
-func (p *Graph) Deps(n int) []int { return p.deps[n] }
+// Deps returns the union of data and control dependences of n, sorted
+// — the row without its invariant tail. The slice is shared; callers
+// must not modify it.
+func (p *Graph) Deps(n int) []int {
+	row := p.rows[n]
+	k := len(row) - mbits.OnesCount8(p.inv[n])
+	if k == 0 {
+		return nil
+	}
+	return row[:k:k]
+}
+
+// InvariantDeps returns n's invariant targets — the tail of its row —
+// in Invariant order. The slice is shared; callers must not modify it.
+func (p *Graph) InvariantDeps(n int) []int {
+	row := p.rows[n]
+	return row[len(row)-mbits.OnesCount8(p.inv[n]):]
+}
+
+// Invariant returns the target of n's invariant edge of kind k, or -1
+// when n has none.
+func (p *Graph) Invariant(n int, k Invariant) int {
+	m := p.inv[n] >> k
+	if m&1 == 0 {
+		return -1
+	}
+	row := p.rows[n]
+	return row[len(row)-mbits.OnesCount8(m)]
+}
+
+// Rows returns every node's full dependence row: Deps(n) followed by
+// InvariantDeps(n). Every closure walks these rows; Condense takes
+// them as its relation. The slices are shared; callers must not
+// modify them.
+func (p *Graph) Rows() [][]int { return p.rows }
 
 // cancelCheckNodes is the BFS cadence of cooperative cancellation:
 // the closure walks consult their cancel callback once per this many
@@ -105,9 +186,9 @@ func (p *Graph) Deps(n int) []int { return p.deps[n] }
 const cancelCheckNodes = 1024
 
 // BackwardClosure returns the set of nodes reachable from the seeds by
-// following dependence edges backwards (the transitive closure of
-// data and control dependence — the conventional slicing engine). The
-// seeds themselves are included.
+// following dependence rows backwards (the transitive closure of data
+// and control dependence and the invariant edges — the conventional
+// slicing engine). The seeds themselves are included.
 func (p *Graph) BackwardClosure(seeds []int) *bits.Set {
 	out, _ := p.BackwardClosureCancel(seeds, nil)
 	return out
@@ -170,7 +251,7 @@ func (p *Graph) drain(set *bits.Set, stack []int, cancel func() error) error {
 		}
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, d := range p.deps[n] {
+		for _, d := range p.rows[n] {
 			if !set.Has(d) {
 				set.Add(d)
 				stack = append(stack, d)

@@ -1,6 +1,7 @@
 package pdg
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -21,7 +22,7 @@ func build(t *testing.T, src string) (*cfg.Graph, *Graph) {
 	pdt := dom.PostDominators(g, g.Exit.ID)
 	cd := cdg.Build(g, pdt)
 	rd := dataflow.Reach(g)
-	return g, Build(g, cd, rd)
+	return g, Build(g, cd, rd, Invariants{})
 }
 
 func lines(g *cfg.Graph, ids []int) []int {
@@ -135,5 +136,60 @@ func TestReturnValueHasDataDeps(t *testing.T) {
 	ret := g.NodesAtLine(2)[0]
 	if got := lines(g, p.DataDeps(ret.ID)); !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("return deps = %v, want [1]", got)
+	}
+}
+
+// TestInvariantEdgesFormRowTails builds every paper figure with
+// random invariant targets and checks the row layout the engines rely
+// on: Deps keeps its plain meaning, each row is Deps followed by the
+// invariant targets in kind order, the tail answers Invariant per
+// kind, closures follow the tail, and Rederive keeps it.
+func TestInvariantEdgesFormRowTails(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, f := range paper.All() {
+		g, plain := build(t, f.Source)
+		n := len(g.Nodes)
+		inv := Invariants{CondJump: make([]int, n), SwitchEnclosure: make([]int, n)}
+		for v := 0; v < n; v++ {
+			inv.CondJump[v], inv.SwitchEnclosure[v] = -1, -1
+			if rng.Intn(3) == 0 {
+				inv.CondJump[v] = rng.Intn(n)
+			}
+			if rng.Intn(3) == 0 {
+				inv.SwitchEnclosure[v] = rng.Intn(n)
+			}
+		}
+		rd := dataflow.Reach(g)
+		p := Build(g, plain.CDG, rd, inv)
+		for v := 0; v < n; v++ {
+			if !equalInts(p.Deps(v), plain.Deps(v)) {
+				t.Fatalf("%s: Deps(%d) = %v, want %v", f.Name, v, p.Deps(v), plain.Deps(v))
+			}
+			var tail []int
+			for k, targets := range [][]int{inv.CondJump, inv.SwitchEnclosure} {
+				if got := p.Invariant(v, Invariant(k)); got != targets[v] {
+					t.Errorf("%s: Invariant(%d, %d) = %d, want %d", f.Name, v, k, got, targets[v])
+				}
+				if targets[v] >= 0 {
+					tail = append(tail, targets[v])
+				}
+			}
+			if !equalInts(p.InvariantDeps(v), tail) {
+				t.Errorf("%s: InvariantDeps(%d) = %v, want %v", f.Name, v, p.InvariantDeps(v), tail)
+			}
+			if want := append(append([]int{}, plain.Deps(v)...), tail...); !equalInts(p.Rows()[v], want) {
+				t.Errorf("%s: row %d = %v, want %v", f.Name, v, p.Rows()[v], want)
+			}
+			closure := p.BackwardClosure([]int{v})
+			for _, d := range tail {
+				if !closure.Has(d) {
+					t.Errorf("%s: closure of %d misses invariant target %d", f.Name, v, d)
+				}
+			}
+			q := p.Rederive(g, plain.CDG, map[int][]int{v: rd.DataDepsOf(g.Nodes[v])})
+			if !equalInts(q.Rows()[v], p.Rows()[v]) {
+				t.Errorf("%s: Rederive row %d = %v, want %v", f.Name, v, q.Rows()[v], p.Rows()[v])
+			}
+		}
 	}
 }

@@ -23,10 +23,9 @@
 //   - Data: classic flow dependence via reaching definitions, with
 //     definitions made at a call node redirected to that call's
 //     actual-out vertex for the variable;
-//   - Invariant: the two slice invariants the core engines encode as
-//     extra edges (predicate → its conditional jump, statement → its
-//     enclosing switch tag), baked in so closures over this graph are
-//     normalized by construction;
+//   - Invariant: each procedure PDG's invariant edges (predicate → its
+//     conditional jump, statement → its enclosing switch tag), so
+//     closures over this graph are closed under the slice invariants;
 //   - Call: callee entry → call-site statement;
 //   - ParamIn: formal-in → actual-in, at every call site;
 //   - ParamOut: actual-out → formal-out;
@@ -47,10 +46,10 @@ import (
 	"sort"
 
 	"jumpslice/internal/bits"
-	"jumpslice/internal/cdg"
 	"jumpslice/internal/cfg"
 	"jumpslice/internal/dataflow"
 	"jumpslice/internal/lang"
+	"jumpslice/internal/pdg"
 )
 
 // EdgeKind labels a dependence edge; the names appear verbatim in
@@ -159,17 +158,16 @@ type Site struct {
 }
 
 // ProcInfo is the per-procedure input to Build: the analyses core
-// already ran on the procedure body, plus the invariant edges its
-// batch engine would add (Extra[n] lists the extra dependence targets
-// of node n).
+// already ran on the procedure body. The PDG supplies control
+// dependence and the invariant edges; data dependence is rebuilt from
+// RD against definition vertices.
 type ProcInfo struct {
 	Name     string
 	Params   []string
 	DeclLine int // source line of the proc declaration; 0 for main
 	CFG      *cfg.Graph
-	CDG      *cdg.Graph
+	PDG      *pdg.Graph
 	RD       *dataflow.ReachingDefs
-	Extra    map[int][]int
 }
 
 // Graph is the system dependence graph.
@@ -179,22 +177,22 @@ type Graph struct {
 
 	deps [][]Dep
 
-	stmtVert     [][]int                   // [proc][node] -> vertex
-	formalIn     [][]int                   // [proc][param] -> vertex
-	formalOut    [][]int                   // [proc][param] -> vertex
-	actualIn     []map[int][]int           // [proc][call node] -> per-arg vertices
-	actualOutIdx []map[int]map[int]int     // [proc][call node][arg index] -> vertex
-	actualOutVar []map[int]map[string]int  // [proc][call node][var] -> vertex
-	argVars      []map[int][][]string      // [proc][call node] -> per-arg variable sets
-	calleeOf     []map[int]int             // [proc][call node] -> callee proc
-	sites        [][]Site                  // [callee] -> call sites
+	stmtVert     [][]int                  // [proc][node] -> vertex
+	formalIn     [][]int                  // [proc][param] -> vertex
+	formalOut    [][]int                  // [proc][param] -> vertex
+	actualIn     []map[int][]int          // [proc][call node] -> per-arg vertices
+	actualOutIdx []map[int]map[int]int    // [proc][call node][arg index] -> vertex
+	actualOutVar []map[int]map[string]int // [proc][call node][var] -> vertex
+	argVars      []map[int][][]string     // [proc][call node] -> per-arg variable sets
+	calleeOf     []map[int]int            // [proc][call node] -> callee proc
+	sites        [][]Site                 // [callee] -> call sites
 	byName       map[string]int
 
 	edgeCount [NumEdgeKinds]int
 
-	summariesDone  bool
-	summaryEdges   int
-	summaryRounds  int
+	summariesDone bool
+	summaryEdges  int
+	summaryRounds int
 }
 
 // Stats reports graph size for metrics and explain payloads.
@@ -355,10 +353,10 @@ func (g *Graph) buildEdges() {
 		// nodes, whose argument reads live on actual-ins) data.
 		for _, n := range p.CFG.Nodes {
 			sv := g.stmtVert[pi][n.ID]
-			for _, parent := range p.CDG.ParentIDs(n.ID) {
+			for _, parent := range p.PDG.ControlDeps(n.ID) {
 				g.addDep(sv, g.stmtVert[pi][parent], EdgeControl)
 			}
-			for _, t := range p.Extra[n.ID] {
+			for _, t := range p.PDG.InvariantDeps(n.ID) {
 				g.addDep(sv, g.stmtVert[pi][t], EdgeInvariant)
 			}
 			if n.Kind == cfg.KindCall {
