@@ -17,7 +17,12 @@ import (
 // other invariants: no request produces a 5xx (client input can never
 // be a server fault on this path — the per-request timeout is
 // disabled), and every non-2xx response carries the structured JSON
-// error envelope.
+// error envelope. Every 200 is sent a second time to the same server:
+// the repeat, answered from the memoized response unless explain is
+// set, must be a 200 cache hit (algo=sdg, which bypasses the cache,
+// aside) whose body matches the first apart from request and
+// duration_ns, and both bodies must be exactly what
+// writeJSON emits for them.
 func FuzzHandleSlice(f *testing.F) {
 	files, _ := filepath.Glob("../../testdata/*.mc")
 	for _, fn := range files {
@@ -30,6 +35,10 @@ func FuzzHandleSlice(f *testing.F) {
 	f.Add([]byte("x = 1;"), "x", "one", "magic", false, true)
 	f.Add([]byte("while ("), "x", "1", "", false, false)
 	f.Add([]byte{}, "", "-1", "structured", true, true)
+	f.Add([]byte("duration_ns = 1;\nrequest = duration_ns;\nwrite(request);"), "request", "3", "", false, false)
+	f.Add([]byte(`{"source":"x = 1;\n\tif (x < 2) x = x + 1;\nwrite(x);","var":"x","line":3}`), "", "", "", true, false)
+	f.Add([]byte("x = 1;\nwrite(x);"), "x", "2", "sdg", false, false)
+	f.Add([]byte(`{"source":"x = 1;\nwrite(x);","var":"x","line":2,"algo":"sdg"}`), "", "", "", true, true)
 
 	f.Fuzz(func(t *testing.T, body []byte, varName, lineStr, algo string, asJSON, explain bool) {
 		if len(body) > 1<<16 {
@@ -55,18 +64,42 @@ func FuzzHandleSlice(f *testing.F) {
 		if explain {
 			q.Set("explain", "1")
 		}
-		req := httptest.NewRequest("POST", "/slice?"+q.Encode(), strings.NewReader(string(body)))
-		if asJSON {
-			req.Header.Set("Content-Type", "application/json")
+		send := func() *httptest.ResponseRecorder {
+			req := httptest.NewRequest("POST", "/slice?"+q.Encode(), strings.NewReader(string(body)))
+			if asJSON {
+				req.Header.Set("Content-Type", "application/json")
+			}
+			rec := httptest.NewRecorder()
+			s.mux.ServeHTTP(rec, req) // no recovery middleware: panics surface
+			return rec
 		}
-		rec := httptest.NewRecorder()
-		s.mux.ServeHTTP(rec, req) // no recovery middleware: panics surface
+		rec := send()
 
 		switch rec.Code {
 		case 200, 400, 404, 405, 413, 422:
 		default:
 			t.Fatalf("status %d for client input (body %q, query %q): %s",
 				rec.Code, body, q.Encode(), rec.Body.String())
+		}
+		if rec.Code == 200 {
+			// algo=sdg is served without the analysis cache, so its
+			// repeat carries no X-Cache. The query's algo overrides
+			// the JSON body's, as in parseSliceRequest.
+			eff := algo
+			if eff == "" && asJSON {
+				var jr sliceRequest
+				_ = json.Unmarshal(body, &jr) // a 200 means it decoded
+				eff = jr.Algo
+			}
+			again := send()
+			if again.Code != 200 || (eff != "sdg" && again.Header().Get("X-Cache") != "hit") {
+				t.Fatalf("repeat of a 200: status %d X-Cache %q: %s", again.Code, again.Header().Get("X-Cache"), again.Body.String())
+			}
+			if a, b := sansDelivery(t, rec.Body.Bytes()), sansDelivery(t, again.Body.Bytes()); a != b {
+				t.Fatalf("repeat body differs:\n got %s\nwant %s", b, a)
+			}
+			checkReencodes(t, rec.Body.Bytes())
+			checkReencodes(t, again.Body.Bytes())
 		}
 		if rec.Code != 200 {
 			var ae apiError

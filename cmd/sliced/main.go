@@ -140,6 +140,11 @@
 //	                 source, so repeated and concurrent requests for
 //	                 the same program skip the whole pipeline; N
 //	                 concurrent identical requests run one analysis.
+//	                 Each analysis also keeps its rendered non-explain
+//	                 replies, charged to the same budget, so a repeated
+//	                 request is answered from stored bytes (not with
+//	                 -peers or -disk-dir, whose result tier already
+//	                 keeps every reply).
 //	-cache-off       disable the analysis cache entirely.
 //
 // A panic while serving one request is recovered, logged with its
@@ -162,6 +167,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -871,7 +877,11 @@ func (s *server) parseSliceRequest(w http.ResponseWriter, r *http.Request) (*sli
 	}
 	known := false
 	for _, a := range knownAlgos {
-		known = known || a == req.Algo
+		if a == req.Algo {
+			// The constant, not a view of the request line that a
+			// stored key or a logged event would keep alive.
+			req.Algo, known = a, true
+		}
 	}
 	if !known {
 		return nil, httpErrorf(http.StatusBadRequest, "unknown_algorithm",
@@ -977,7 +987,12 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil || s.results != nil {
 		w.Header().Set("X-Sliced-Route", "local")
 	}
-	rkey := resultKeyFor(req, explain)
+	// The result key hashes the whole source; only the result tier
+	// (-peers, -disk-dir) reads it.
+	var rkey slicecache.ResultKey
+	if s.results != nil {
+		rkey = resultKeyFor(req, explain)
+	}
 	if s.serveResult(ctx, w, r, req, rkey, id, start) {
 		return
 	}
@@ -987,11 +1002,26 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	a := s.analysisFor(ctx, w, r, req.Source, tr)
+	// Non-explain replies are memoized on the analysis-cache entry,
+	// unless a result tier already stores every reply. Explain replies
+	// carry per-line reasons and a full listing; they are computed on
+	// demand.
+	var rk *slicecache.ResponseKey
+	if !explain && s.cache != nil && s.results == nil {
+		rk = &slicecache.ResponseKey{Var: req.Var, Line: req.Line, Algo: req.Algo}
+	}
+	a, memo := s.analysisFor(ctx, w, r, req.Source, rk, tr)
+	if memo != nil {
+		ri.setStmts(memo.Stmts)
+		ri.setSliceLines(memo.SliceLines)
+		writeSliceBody(w, memo.Body, id, start)
+		return
+	}
 	if a == nil {
 		return // analysisFor already answered
 	}
-	ri.setStmts(len(lang.Statements(a.Prog)))
+	stmts := len(lang.Statements(a.Prog))
+	ri.setStmts(stmts)
 	sl, err := coreSlice(a, req.Algo, core.Criterion{Var: req.Var, Line: req.Line})
 	if err != nil {
 		s.failErr(w, r, "slice", err)
@@ -1022,10 +1052,66 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		resp.Reasons = p.LineReasons()
 		resp.Listing = p.Listing()
 	}
-	resp.DurationNS = time.Since(start).Nanoseconds()
 	ri.setSliceLines(len(resp.Lines))
 	s.storeResult(rkey, resp)
-	writeJSON(w, http.StatusOK, resp)
+	body := sliceBody(resp)
+	if rk != nil {
+		s.cache.PutResponse(req.Source, *rk, &slicecache.Response{Body: body, SliceLines: len(resp.Lines), Stmts: stmts})
+	}
+	writeSliceBody(w, body, id, start)
+}
+
+// A /slice reply is rendered once as the bytes writeJSON emits for it
+// with request and duration_ns set to 0, minus those two zeros; that
+// body is what the memo stores. request is the first field and
+// duration_ns the last, so both values sit at fixed offsets from the
+// ends: a reply is replyHead, the request ID, the body, the duration,
+// replyTail. The body is never searched, because text can hold any
+// characters.
+const (
+	replyHead = "{\n  \"request\": "
+	replyTail = "\n}\n"
+)
+
+// sliceBody renders resp as writeJSON would and cuts out the body
+// writeSliceBody splices a request's ID and duration around.
+func sliceBody(resp *sliceResponse) []byte {
+	rec := *resp
+	rec.Request, rec.DurationNS = 0, 0
+	var b appendWriter
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	// Encoding a sliceResponse cannot fail; the framing check below
+	// would catch an empty buffer.
+	_ = enc.Encode(&rec)
+	if !bytes.HasPrefix(b, []byte(replyHead+"0,")) || !bytes.HasSuffix(b, []byte(": 0"+replyTail)) {
+		panic("sliced: sliceResponse no longer starts with request and ends with duration_ns")
+	}
+	return b[len(replyHead)+1 : len(b)-len(replyTail)-1]
+}
+
+// appendWriter collects what is written to it. json.Encoder writes a
+// value in one call, so the slice is allocated once, at its size.
+type appendWriter []byte
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
+}
+
+// writeSliceBody writes a rendered reply with this request's ID and
+// duration spliced in: byte for byte what writeJSON writes for the
+// same response.
+func writeSliceBody(w http.ResponseWriter, body []byte, id uint64, start time.Time) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	b := make([]byte, 0, len(replyHead)+len(body)+len(replyTail)+40)
+	b = append(b, replyHead...)
+	b = strconv.AppendUint(b, id, 10)
+	b = append(b, body...)
+	b = strconv.AppendInt(b, time.Since(start).Nanoseconds(), 10)
+	b = append(b, replyTail...)
+	w.Write(b)
 }
 
 // handleSliceSDG serves algo=sdg: the interprocedural (system
@@ -1103,18 +1189,20 @@ func (s *server) buildAnalysis(ctx context.Context, source string, tr *obs.Trace
 // cache owns its context and the result outlives this request) and
 // the hit is rebound to this request's deadline and trace; parse and
 // size-limit faults ride the cache's negative entries, so repeated
-// malformed programs are refused from memory. A nil return means the
-// response — error or 304 — was already written.
-func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http.Request, source string, tr *obs.Tracer) *core.Analysis {
+// malformed programs are refused from memory. With rk set, a hit on
+// an entry that memoizes a response under rk returns that response
+// instead, with no analysis. Two nil returns mean the error response
+// was already written.
+func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http.Request, source string, rk *slicecache.ResponseKey, tr *obs.Tracer) (*core.Analysis, *slicecache.Response) {
 	if s.cache == nil {
 		a, err := s.buildAnalysis(ctx, source, tr)
 		if err != nil {
 			s.failErr(w, r, "analyze", err)
-			return nil
+			return nil, nil
 		}
-		return a
+		return a, nil
 	}
-	cached, outcome, err := s.cache.Get(ctx, source, func(bctx context.Context) (*core.Analysis, error) {
+	cached, memo, outcome, err := s.cache.GetResponse(ctx, source, rk, func(bctx context.Context) (*core.Analysis, error) {
 		a, err := s.buildAnalysis(bctx, source, tr)
 		if err != nil {
 			return nil, err
@@ -1125,9 +1213,14 @@ func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http
 	tr.Instant("cache."+outcome.String(), 1)
 	if err != nil {
 		s.failErr(w, r, "analyze", err)
-		return nil
+		return nil, nil
 	}
-	return cached.Rebind(ctx, s.reg, tr)
+	if memo != nil {
+		tr.Instant("cache.response", 1)
+		reqInfoFrom(r).setResponseHit()
+		return nil, memo
+	}
+	return cached.Rebind(ctx, s.reg, tr), nil
 }
 
 // sliceETag derives the strong validator for a slice request: the

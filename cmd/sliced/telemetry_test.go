@@ -72,7 +72,7 @@ func getRequests(t *testing.T, base, query string) *requestsPage {
 }
 
 func TestWideEventRecordsSliceRequest(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	postSlice(t, ts, "var=positives&line=14", fig5(t))
 
 	page := getRequests(t, ts.URL, "?endpoint=/slice")
@@ -111,16 +111,32 @@ func TestWideEventRecordsSliceRequest(t *testing.T) {
 		t.Errorf("phases %v missing phase.analyze.cfg", ev.Phases)
 	}
 
-	// A second identical request is a cache hit: no pipeline phases,
-	// tier "hit".
+	if ev.ResponseHit {
+		t.Error("a cold request is marked as a response hit")
+	}
+
+	// A second identical request is a cache hit answered from the
+	// memoized response: no pipeline phases, tier "hit", the same
+	// slicing annotations, and a cache.response trace instant.
 	postSlice(t, ts, "var=positives&line=14", fig5(t))
 	page = getRequests(t, ts.URL, "?endpoint=/slice")
 	if page.Count != 2 {
 		t.Fatalf("count = %d, want 2", page.Count)
 	}
 	hit := page.Requests[1]
-	if hit.Cache != "hit" {
-		t.Errorf("second request cache tier = %q, want hit", hit.Cache)
+	if hit.Cache != "hit" || !hit.ResponseHit {
+		t.Errorf("second request cache tier = %q response_hit = %v, want a response hit", hit.Cache, hit.ResponseHit)
+	}
+	if hit.Stmts != ev.Stmts || hit.SliceLines != ev.SliceLines || len(hit.Phases) != 0 {
+		t.Errorf("response hit annotations: stmts=%d slice=%d phases=%v, want %d, %d, none",
+			hit.Stmts, hit.SliceLines, hit.Phases, ev.Stmts, ev.SliceLines)
+	}
+	instant := false
+	for _, e := range s.fr.RequestEvents(hit.Req) {
+		instant = instant || (e.Kind == obs.KindInstant && e.Name == "cache.response")
+	}
+	if !instant {
+		t.Error("response hit emitted no cache.response trace instant")
 	}
 }
 

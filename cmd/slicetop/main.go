@@ -221,8 +221,8 @@ func render(w io.Writer, cur, prev *sample, base string) error {
 	misses := cur.get("jumpslice_cache_misses_total")
 	coalesced := cur.get("jumpslice_cache_coalesced_total")
 	if total := hits + misses + coalesced; total > 0 {
-		fmt.Fprintf(w, "\ncache: %.1f%% reuse (%d hit, %d coalesced, %d miss), %s resident in %d entries\n",
-			100*(hits+coalesced)/total, int64(hits), int64(coalesced), int64(misses),
+		fmt.Fprintf(w, "\ncache: %.1f%% reuse (%d hit, %d of them stored replies, %d coalesced, %d miss), %s resident in %d entries\n",
+			100*(hits+coalesced)/total, int64(hits), int64(cur.get("jumpslice_cache_response_hits_total")), int64(coalesced), int64(misses),
 			humanBytes(cur.get("jumpslice_cache_resident_bytes")), int64(cur.get("jumpslice_cache_entries")))
 	}
 

@@ -39,6 +39,8 @@ const stubMetrics = `# TYPE jumpslice_core_slices_total counter
 jumpslice_core_slices_total 42
 # TYPE jumpslice_cache_hits_total counter
 jumpslice_cache_hits_total 30
+# TYPE jumpslice_cache_response_hits_total counter
+jumpslice_cache_response_hits_total 20
 # TYPE jumpslice_cache_misses_total counter
 jumpslice_cache_misses_total 10
 # TYPE jumpslice_cache_coalesced_total counter
@@ -151,6 +153,7 @@ func TestOnceSnapshot(t *testing.T) {
 		"2.5x",                           // burn rates
 		"req=17",                         // the exemplar deep link
 		"cache: 80.0% reuse",             // (30+10)/(30+10+10)
+		"20 of them stored replies",      // response hits among the 30
 		"1.0MiB resident",                // byte formatting
 		"8 patched / 0 partial / 2 full", // incremental mix
 		"12 goroutines on 8 procs",

@@ -60,6 +60,7 @@ func TestPrometheusCacheNamesGolden(t *testing.T) {
 	r.Counter("cache.coalesced").Add(3)
 	r.Counter("cache.evictions").Add(1)
 	r.Counter("cache.neg_hits").Add(1)
+	r.Counter("cache.response_hits").Add(5)
 	r.Gauge("cache.resident_bytes").Set(4096)
 	r.Gauge("cache.entries").Set(2)
 
@@ -77,6 +78,8 @@ jumpslice_cache_hits_total 7
 jumpslice_cache_misses_total 2
 # TYPE jumpslice_cache_neg_hits_total counter
 jumpslice_cache_neg_hits_total 1
+# TYPE jumpslice_cache_response_hits_total counter
+jumpslice_cache_response_hits_total 5
 # TYPE jumpslice_cache_entries gauge
 jumpslice_cache_entries 2
 # TYPE jumpslice_cache_resident_bytes gauge

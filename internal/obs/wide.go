@@ -105,6 +105,9 @@ type WideEvent struct {
 	// "full").
 	Cache       string `json:"cache,omitempty"`
 	Incremental string `json:"incremental,omitempty"`
+	// ResponseHit marks a cache hit answered from the response bytes
+	// memoized on the cached analysis: no slice, render or encode ran.
+	ResponseHit bool `json:"response_hit,omitempty"`
 	// Route says how cluster routing placed the request: "local"
 	// (served by this node), "proxied" (forwarded to the ring owner),
 	// or "peer-fill" (served locally from a record fetched off a

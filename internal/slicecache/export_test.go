@@ -56,3 +56,22 @@ func (sh *shard) verifyLocked(i int) error {
 
 // ShardCount is exported for tests that reason about per-shard budgets.
 func (c *Cache) ShardCount() int { return len(c.shards) }
+
+// ResponseOverhead is the fixed charge PutResponse adds per response.
+const ResponseOverhead = responseOverhead
+
+// ResponseKeys returns the keys of the responses memoized on the
+// resident entry for source.
+func (c *Cache) ResponseKeys(source string) []ResponseKey {
+	key := KeyOf(source)
+	sh := c.shardOf(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var ks []ResponseKey
+	if e := sh.entries[key]; e != nil {
+		for rk := range e.resp {
+			ks = append(ks, rk)
+		}
+	}
+	return ks
+}

@@ -22,6 +22,13 @@
 //     canceled waiter detaches without killing the shared computation,
 //     and the computation itself is canceled only when every waiter
 //     has detached.
+//   - Each positive entry also memoizes rendered responses, keyed by
+//     criterion and algorithm (PutResponse, GetResponse). A response is
+//     a pure function of the program and the criterion, so a repeat
+//     request is answered from bytes stored on the analysis it came
+//     from. Memoized bytes are charged to the entry's cost, so the one
+//     byte budget covers them and evicting an analysis drops its
+//     responses.
 //   - Negative entries cache build errors (parse failures, size-limit
 //     rejections) under a short TTL, so a flood of the same malformed
 //     input is answered from memory instead of re-parsed. Context
@@ -41,6 +48,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"strings"
 	"sync"
 	"time"
 
@@ -71,6 +79,23 @@ func KeyOf(source string) Key {
 // Hex renders the key as lowercase hex, the form ETags and debug
 // endpoints expose.
 func (k Key) Hex() string { return hex.EncodeToString(k[:]) }
+
+// ResponseKey names one rendered response memoized on an entry: the
+// criterion and the algorithm that produced it.
+type ResponseKey struct {
+	Var  string
+	Line int
+	Algo string
+}
+
+// Response is one memoized rendering. Body is opaque to the cache;
+// SliceLines and Stmts are the counts the caller records for the
+// request it answers.
+type Response struct {
+	Body       []byte
+	SliceLines int
+	Stmts      int
+}
 
 // Outcome classifies how one Get was answered.
 type Outcome int
@@ -108,8 +133,8 @@ type Options struct {
 	NegTTL time.Duration
 	// Recorder, when non-nil, receives the cache's counters and
 	// gauges (cache.hits, cache.misses, cache.coalesced,
-	// cache.evictions, cache.neg_hits, cache.resident_bytes,
-	// cache.entries).
+	// cache.response_hits, cache.evictions, cache.neg_hits,
+	// cache.resident_bytes, cache.entries).
 	Recorder obs.Recorder
 	// Now overrides the clock (negative-TTL tests); nil means
 	// time.Now.
@@ -128,17 +153,25 @@ const (
 // string.
 const entryOverhead = 256
 
+// responseOverhead charges a memoized response's map slot, key and
+// Response header; the body and the key's strings are charged by
+// length.
+const responseOverhead = 96
+
 // Stats is a point-in-time account of the cache. Bytes and Entries
 // are exact: Bytes always equals the summed cost of resident entries.
+//
+// ResponseHits counts the Hits that also found a memoized response.
 type Stats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	NegHits   int64 `json:"neg_hits"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	MaxBytes  int64 `json:"max_bytes"`
+	Hits         int64 `json:"hits"`
+	ResponseHits int64 `json:"response_hits"`
+	Misses       int64 `json:"misses"`
+	Coalesced    int64 `json:"coalesced"`
+	NegHits      int64 `json:"neg_hits"`
+	Evictions    int64 `json:"evictions"`
+	Entries      int   `json:"entries"`
+	Bytes        int64 `json:"bytes"`
+	MaxBytes     int64 `json:"max_bytes"`
 }
 
 // Cache is the sharded content-addressed analysis cache. All methods
@@ -159,6 +192,7 @@ type Cache struct {
 // under obs.Nop, and every obs method is nil-safe.
 type cacheMetrics struct {
 	hits, misses, coalesced *obs.Counter
+	responseHits            *obs.Counter
 	negHits, evictions      *obs.Counter
 	bytes, entries          *obs.Gauge
 }
@@ -167,6 +201,7 @@ func (m *cacheMetrics) resolve(rec obs.Recorder) {
 	m.hits = rec.Counter("cache.hits")
 	m.misses = rec.Counter("cache.misses")
 	m.coalesced = rec.Counter("cache.coalesced")
+	m.responseHits = rec.Counter("cache.response_hits")
 	m.negHits = rec.Counter("cache.neg_hits")
 	m.evictions = rec.Counter("cache.evictions")
 	m.bytes = rec.Gauge("cache.resident_bytes")
@@ -175,11 +210,13 @@ func (m *cacheMetrics) resolve(rec obs.Recorder) {
 
 // entry is one resident cache line: a detached analysis (positive) or
 // a build error with an expiry (negative). Entries form a per-shard
-// intrusive LRU list, most recent at head.
+// intrusive LRU list, most recent at head. resp holds the positive
+// entry's memoized responses; their bytes are part of cost.
 type entry struct {
 	key  Key
 	a    *core.Analysis
 	err  error
+	resp map[ResponseKey]*Response
 	cost int64
 	exp  time.Time // zero for positive entries
 	prev *entry
@@ -266,6 +303,16 @@ func (c *Cache) shardOf(k Key) *shard {
 // request. A non-context build error is returned to every waiter and
 // cached negatively for the configured TTL.
 func (c *Cache) Get(ctx context.Context, source string, build func(context.Context) (*core.Analysis, error)) (*core.Analysis, Outcome, error) {
+	a, _, out, err := c.GetResponse(ctx, source, nil, build)
+	return a, out, err
+}
+
+// GetResponse is Get that, for a non-nil rk, also returns the
+// response memoized under *rk on the entry that answered, read in the
+// same critical section as the lookup. The response is nil unless the
+// outcome is a Hit and PutResponse stored one; a hit that finds one
+// counts cache.response_hits as well as cache.hits.
+func (c *Cache) GetResponse(ctx context.Context, source string, rk *ResponseKey, build func(context.Context) (*core.Analysis, error)) (*core.Analysis, *Response, Outcome, error) {
 	key := KeyOf(source)
 	sh := c.shardOf(key)
 
@@ -276,20 +323,28 @@ func (c *Cache) Get(ctx context.Context, source string, build func(context.Conte
 		} else {
 			sh.touchLocked(e)
 			a, err := e.a, e.err
+			var resp *Response
+			if rk != nil {
+				resp = e.resp[*rk]
+			}
 			sh.mu.Unlock()
 			if err != nil {
 				c.count(&c.stats.NegHits, c.m.negHits)
-				return nil, Hit, err
+				return nil, nil, Hit, err
 			}
 			c.count(&c.stats.Hits, c.m.hits)
-			return a, Hit, nil
+			if resp != nil {
+				c.count(&c.stats.ResponseHits, c.m.responseHits)
+			}
+			return a, resp, Hit, nil
 		}
 	}
 	if f := sh.flights[key]; f != nil {
 		f.waiters++
 		sh.mu.Unlock()
 		c.count(&c.stats.Coalesced, c.m.coalesced)
-		return c.wait(ctx, sh, f, Coalesced)
+		a, out, err := c.wait(ctx, sh, f, Coalesced)
+		return a, nil, out, err
 	}
 	// Miss: this caller leads. The build runs under its own cancelable
 	// context rooted in Background, so the leader's own cancellation
@@ -300,7 +355,40 @@ func (c *Cache) Get(ctx context.Context, source string, build func(context.Conte
 	sh.mu.Unlock()
 	c.count(&c.stats.Misses, c.m.misses)
 	go c.run(bctx, sh, key, f, int64(len(source)), build)
-	return c.wait(ctx, sh, f, Miss)
+	a, out, err := c.wait(ctx, sh, f, Miss)
+	return a, nil, out, err
+}
+
+// PutResponse memoizes resp under rk on the positive entry for
+// source, charging its bytes to the entry under the shard lock and
+// evicting from the LRU tail if the shard is then over budget. It is
+// a no-op when no positive entry is resident (the analysis was
+// evicted since the caller's Get) or a response is already stored
+// under rk.
+// Any entry under source's key analyzes that same source, so the
+// response fits whichever entry is resident now. The stored key holds
+// copies of rk's strings, so it never keeps alive the memory they
+// came from (a request line, say) beyond the bytes charged for it.
+// resp must not be modified afterwards.
+func (c *Cache) PutResponse(source string, rk ResponseKey, resp *Response) {
+	key := KeyOf(source)
+	sh := c.shardOf(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.entries[key]
+	if e == nil || e.err != nil || e.resp[rk] != nil {
+		return
+	}
+	if e.resp == nil {
+		e.resp = map[ResponseKey]*Response{}
+	}
+	rk.Var, rk.Algo = strings.Clone(rk.Var), strings.Clone(rk.Algo)
+	e.resp[rk] = resp
+	cost := int64(len(resp.Body)+len(rk.Var)+len(rk.Algo)) + responseOverhead
+	e.cost += cost
+	sh.bytes += cost
+	c.m.bytes.Add(cost)
+	c.shrinkLocked(sh)
 }
 
 // run executes one flight's build and publishes the result: into the
@@ -393,6 +481,12 @@ func (c *Cache) insertLocked(sh *shard, e *entry) {
 	sh.bytes += e.cost
 	c.m.bytes.Add(e.cost)
 	c.m.entries.Add(1)
+	c.shrinkLocked(sh)
+}
+
+// shrinkLocked evicts from the LRU tail until the shard fits its
+// budget. Caller holds sh.mu.
+func (c *Cache) shrinkLocked(sh *shard) {
 	for sh.bytes > sh.max && sh.tail != nil {
 		c.evictLocked(sh, sh.tail)
 	}

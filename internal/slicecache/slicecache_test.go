@@ -393,6 +393,8 @@ func TestMetrics(t *testing.T) {
 		"cache.coalesced": st.Coalesced,
 		"cache.neg_hits":  st.NegHits,
 		"cache.evictions": st.Evictions,
+		// Plain Gets never find a response.
+		"cache.response_hits": st.ResponseHits,
 	}
 	for name, v := range want {
 		if got := reg.Counter(name).Value(); got != v {
