@@ -17,7 +17,7 @@ import (
 // program in the default configuration:
 //
 //	miss          every request a program the cache has not seen
-//	hit           a repeated request, answered from the memoized reply
+//	hit           a repeated request, answered from its stored reply
 //	explain-hit   a repeated explain=1 request: an analysis hit, the
 //	              reply computed on demand
 //	not-modified  a revalidation answered 304 from the ETag

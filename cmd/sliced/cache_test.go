@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -13,8 +14,10 @@ import (
 )
 
 // TestCacheMissThenHit asserts the X-Cache header narrates the cache's
-// verdict — first request for a program is a miss, repeats are hits —
-// and that the cached path answers byte-identically to the first.
+// verdict — the first request for a program is a miss, a repeat is
+// answered from its stored reply (result), and a new request on a
+// cached program reuses the analysis (hit) — and that the cached path
+// answers byte-identically to the first.
 func TestCacheMissThenHit(t *testing.T) {
 	_, ts := newTestServer(t)
 	fig := fig5(t)
@@ -24,8 +27,8 @@ func TestCacheMissThenHit(t *testing.T) {
 		t.Errorf("first request X-Cache = %q, want miss", got)
 	}
 	resp2, sr2 := postSlice(t, ts, "var=positives&line=14", fig)
-	if got := resp2.Header.Get("X-Cache"); got != "hit" {
-		t.Errorf("second request X-Cache = %q, want hit", got)
+	if got := resp2.Header.Get("X-Cache"); got != "result" {
+		t.Errorf("second request X-Cache = %q, want result", got)
 	}
 	if fmt.Sprint(sr1.Lines) != fmt.Sprint(sr2.Lines) || sr1.Text != sr2.Text {
 		t.Errorf("cached response differs from uncached: %v vs %v", sr1.Lines, sr2.Lines)
@@ -138,9 +141,11 @@ func TestDebugCacheEndpoint(t *testing.T) {
 	if !state.Enabled {
 		t.Fatal("/debug/cache reports disabled on a default server")
 	}
+	// The repeat is a hit on the stored reply, which sits in the same
+	// ledger as the analysis.
 	st := state.Stats
-	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 || st.Bytes <= 0 {
-		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 entry, positive bytes", st)
+	if st.Misses != 1 || st.Hits != 1 || st.ResponseHits != 1 || st.Entries != 2 || st.Bytes <= 0 {
+		t.Errorf("stats = %+v, want 1 miss, 1 hit on a stored reply, 2 entries, positive bytes", st)
 	}
 	if st.MaxBytes != slicecache.DefaultMaxBytes {
 		t.Errorf("max_bytes = %d, want the %d default", st.MaxBytes, slicecache.DefaultMaxBytes)
@@ -242,5 +247,37 @@ func TestCacheCoalescing(t *testing.T) {
 	}
 	if counts["miss"]+counts["hit"]+counts["coalesced"] != n {
 		t.Errorf("X-Cache verdicts %v: unknown verdicts present", counts)
+	}
+}
+
+// TestETagCoversRequest asserts the ETag is a pure function of the
+// request tuple: changing any one of source, var, line, algo or
+// explain changes it, and two independent servers agree on it.
+func TestETagCoversRequest(t *testing.T) {
+	_, ts1 := newTestServer(t)
+	_, ts2 := newTestServer(t)
+	fig := fig5(t)
+	etag := func(ts *httptest.Server, query, src string) string {
+		resp, _ := postSlice(t, ts, query, src)
+		return resp.Header.Get("ETag")
+	}
+	const base = "var=positives&line=14&algo=agrawal"
+	seen := map[string]string{}
+	for _, tc := range []struct{ name, query, src string }{
+		{"base", base, fig},
+		{"source", base, fig + "// edited\n"},
+		{"var", "var=sum&line=14&algo=agrawal", fig},
+		{"line", "var=positives&line=13&algo=agrawal", fig},
+		{"algo", "var=positives&line=14&algo=conventional", fig},
+		{"explain", base + "&explain=1", fig},
+	} {
+		e1, e2 := etag(ts1, tc.query, tc.src), etag(ts2, tc.query, tc.src)
+		if e1 == "" || e1 != e2 {
+			t.Fatalf("%s: ETags %q and %q on two servers, want one strong validator", tc.name, e1, e2)
+		}
+		if prev, dup := seen[e1]; dup {
+			t.Errorf("%s: same ETag as %s", tc.name, prev)
+		}
+		seen[e1] = tc.name
 	}
 }

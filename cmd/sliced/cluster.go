@@ -2,7 +2,7 @@ package main
 
 // The daemon's cluster plane: consistent-hash routing over the
 // program's content address, transparent proxying to the ring owner,
-// peer cache fill on local miss, and the disk-backed result tier that
+// peer fill of stored replies on local miss, and the disk store that
 // makes restarts warm.
 //
 // The flow for one clustered /slice request:
@@ -12,19 +12,19 @@ package main
 //     the wrong node is proxied to the owner — unless it already
 //     carries X-Sliced-Routed-From (one hop max) or the owner is
 //     down, in which case the local node serves it degraded.
-//  2. The serving node consults its result cache (memory over disk).
-//     A hit answers without touching the pipeline (X-Cache: result or
-//     disk).
-//  3. On a miss, cluster mode asks ring-adjacent peers for the
-//     serialized record (X-Cache: peer-fill). A fill that fails —
-//     peers down, record absent, record corrupt — falls back to local
-//     compute; it can degrade latency, never a response.
-//  4. A locally computed response is serialized canonically (the
-//     per-request fields zeroed) and written through to the result
-//     tiers, making it available to peers and to the next restart.
+//  2. The serving node looks up the reply's record (memory, then
+//     disk). A hit answers without touching the pipeline (X-Cache:
+//     result or disk).
+//  3. On a miss, cluster mode asks ring-adjacent peers for the record
+//     (X-Cache: peer-fill). A fill that fails — peers down, record
+//     absent, record corrupt — falls back to local compute; it can
+//     degrade latency, never a response.
+//  4. A locally computed non-explain reply is stored as a record and
+//     written through to disk, making it available to peers and to
+//     the next restart.
 //
 // Routing is over the analysis key (the whole program source), not
-// the result key (source + criterion + algorithm): all criteria of
+// the record key (source + criterion + algorithm): all criteria of
 // one program land on one node, so its *core.Analysis is built once
 // fleet-wide and stays hot there.
 
@@ -33,10 +33,9 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"jumpslice/internal/cluster"
@@ -68,12 +67,14 @@ type clusterState struct {
 }
 
 // openCluster brings up the persistence and routing tiers from the
-// config: the disk store (when -disk-dir is set), the result cache
-// (when clustering or the disk tier is on), and the ring, peer
-// prober, and fill client (when -peers is set). It must run before
-// the first request, like openSpool; serveOn does, and cluster tests
-// call it directly.
+// config: the disk store and the cache over it (when -disk-dir is
+// set), and the ring, peer prober, and fill client (when -peers is
+// set). It must run before the first request, like openSpool; serveOn
+// does, and cluster tests call it directly.
 func (s *server) openCluster() error {
+	if s.cfg.CacheOff && (s.cfg.DiskDir != "" || len(s.cfg.PeerList) > 0) {
+		return errors.New("-cache-off cannot be combined with -disk-dir or -peers: both share stored replies")
+	}
 	if s.cfg.DiskDir != "" {
 		st, err := disk.Open(disk.Options{
 			Dir:          s.cfg.DiskDir,
@@ -85,14 +86,8 @@ func (s *server) openCluster() error {
 			return err
 		}
 		s.disk = st
+		s.cache = s.newCache(st)
 		s.logger.Printf("disk result tier on %s (budget %d bytes)", s.cfg.DiskDir, st.Stats().MaxBytes)
-	}
-	if s.cfg.DiskDir != "" || len(s.cfg.PeerList) > 0 {
-		s.results = slicecache.NewResultCache(slicecache.ResultOptions{
-			MaxBytes: s.cfg.ResultBytes,
-			Disk:     s.disk,
-			Recorder: s.reg,
-		})
 	}
 	if len(s.cfg.PeerList) == 0 {
 		return nil
@@ -121,7 +116,10 @@ func (s *server) openCluster() error {
 	c.filler = cluster.NewFiller(cluster.FillOptions{
 		Timeout:  s.cfg.FillTimeout,
 		MaxBytes: s.cfg.MaxBody * 16,
-		Validate: validateRecord,
+		Validate: func(body []byte) error {
+			_, err := checkRecord(body)
+			return err
+		},
 		Peers:    peers,
 		Recorder: s.reg,
 	})
@@ -129,6 +127,16 @@ func (s *server) openCluster() error {
 	s.cluster = c
 	s.logger.Printf("cluster mode: self=%s peers=%d vnodes=%d", c.self, len(s.cfg.PeerList), s.cfg.Vnodes)
 	return nil
+}
+
+// newCache builds the daemon's one cache, its records written through
+// to st when st is non-nil.
+func (s *server) newCache(st *disk.Store) *slicecache.Cache {
+	return slicecache.New(slicecache.Options{
+		MaxBytes: s.cfg.CacheBytes,
+		Recorder: s.reg,
+		Disk:     st,
+	})
 }
 
 // closeCluster stops the prober and seals the disk tier.
@@ -141,38 +149,42 @@ func (s *server) closeCluster() {
 	}
 }
 
-// validateRecord vets a peer-filled record before it is trusted: it
-// must decode as a slice response that actually carries a slice. A
-// record failing here counts cluster.fill_corrupt and the fill moves
-// on — a corrupt peer costs a recompute, never a bad answer.
-func validateRecord(data []byte) error {
+// checkRecord is the canonical check on reply bytes from outside the
+// process (a disk read, a peer fill). Framed as a reply, they must
+// decode as a slice response that carries an algorithm and lines, and
+// sliceBody must render that response back to exactly these bytes; so
+// only what this daemon could have stored is ever served. It returns
+// the record the bytes encode. A record failing here costs a
+// recompute, never a bad answer.
+func checkRecord(body []byte) (*slicecache.Record, error) {
+	framed := make([]byte, 0, len(replyHead)+len(body)+len(replyTail)+2)
+	framed = append(framed, replyHead+"0"...)
+	framed = append(framed, body...)
+	framed = append(framed, "0"+replyTail...)
 	var resp sliceResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return err
+	if err := json.Unmarshal(framed, &resp); err != nil {
+		return nil, err
 	}
 	if resp.Algorithm == "" || len(resp.Lines) == 0 {
-		return fmt.Errorf("record missing algorithm or lines")
+		return nil, errors.New("record missing algorithm or lines")
 	}
-	return nil
+	if !bytes.Equal(sliceBody(&resp), body) {
+		return nil, errors.New("record is not the canonical rendering of its reply")
+	}
+	return &slicecache.Record{Body: body, SliceLines: len(resp.Lines)}, nil
 }
 
-// resultKeyFor derives the result-record address for one request: the
-// full tuple the response content depends on (mirrors sliceETag).
-func resultKeyFor(req *sliceRequest, explain bool) slicecache.ResultKey {
-	return slicecache.ResultKeyOf(req.Source, req.Var, strconv.Itoa(req.Line), req.Algo, strconv.FormatBool(explain))
-}
-
-// routeSlice decides placement for a parsed /slice request and, when
-// the owner is another live node, proxies to it. It reports whether
-// the response was written; false means "serve locally" (we own the
-// key, the owner is down, or the request already hopped).
-func (s *server) routeSlice(ctx context.Context, w http.ResponseWriter, r *http.Request, req *sliceRequest) bool {
+// routeSlice decides placement for a parsed /slice request, whose
+// program is keyed k, and, when the owner is another live node,
+// proxies to it. It reports whether the response was written; false
+// means "serve locally" (we own the key, the owner is down, or the
+// request already hopped).
+func (s *server) routeSlice(ctx context.Context, w http.ResponseWriter, r *http.Request, req *sliceRequest, k slicecache.Key) bool {
 	c := s.cluster
 	if c == nil {
 		return false
 	}
-	key := slicecache.KeyOf(req.Source)
-	owner := c.ring.Owner(key[:])
+	owner := c.ring.Owner(k[:])
 	if owner == c.self || r.Header.Get(routedFromHeader) != "" || !c.peers.Up(owner) {
 		c.localServes.Add(1)
 		return false
@@ -243,40 +255,47 @@ func (s *server) relayProxy(w http.ResponseWriter, resp *http.Response, owner st
 	return true
 }
 
-// serveResult answers a /slice request from the result tiers —
-// memory, disk, then peer fill — reporting whether a response was
-// written. A false return means every tier missed and the caller must
-// compute; rkey is where the computed record should then be stored.
-func (s *server) serveResult(ctx context.Context, w http.ResponseWriter, r *http.Request, req *sliceRequest, rkey slicecache.ResultKey, id uint64, start time.Time) bool {
-	if s.results == nil {
+// serveRecord answers a /slice request from its stored reply, keyed
+// rk — memory, disk, then peer fill — reporting whether a response
+// was written. A false return means every source missed and the
+// caller must compute.
+func (s *server) serveRecord(ctx context.Context, w http.ResponseWriter, r *http.Request, k slicecache.Key, rk slicecache.ResultKey, id uint64, start time.Time) bool {
+	if s.cache == nil {
 		return false
 	}
-	if data, src := s.results.Get(rkey); src != slicecache.ResultMiss {
-		tier := "result"
-		if src == slicecache.ResultDisk {
-			tier = "disk"
+	rec, src := s.cache.GetRecord(rk, checkRecord)
+	tier := src.String()
+	if src == slicecache.RecordMiss {
+		if rec = s.fillRecord(ctx, w, r, k, rk); rec == nil {
+			return false
 		}
-		if s.writeRecord(w, r, data, tier, "", id, start) {
-			return true
-		}
-		// The record failed to decode (should be impossible past the
-		// disk CRC); recompute and overwrite it.
+		tier = "peer-fill"
 	}
+	w.Header().Set("X-Cache", tier)
+	ri := reqInfoFrom(r)
+	ri.setStmts(rec.Stmts)
+	ri.setSliceLines(rec.SliceLines)
+	writeSliceBody(w, rec.Body, id, start)
+	return true
+}
+
+// fillRecord asks the ring-adjacent nodes of the program keyed k (its
+// previous and next owners) that are currently up for the record
+// under rk, and stores what one serves. It returns nil when no peer
+// could serve it; fills are best-effort.
+func (s *server) fillRecord(ctx context.Context, w http.ResponseWriter, r *http.Request, k slicecache.Key, rk slicecache.ResultKey) *slicecache.Record {
 	c := s.cluster
 	if c == nil {
-		return false
+		return nil
 	}
-	// Peer fill: ask the ring-adjacent nodes (the previous/next owners
-	// of this program's key) that are currently up.
-	key := slicecache.KeyOf(req.Source)
 	var candidates []string
-	for _, cand := range c.ring.Candidates(key[:], c.candidates+1, c.self) {
+	for _, cand := range c.ring.Candidates(k[:], c.candidates+1, c.self) {
 		if len(candidates) < c.candidates && c.peers.Up(cand) {
 			candidates = append(candidates, cand)
 		}
 	}
 	if len(candidates) == 0 {
-		return false
+		return nil
 	}
 	var hdr http.Header
 	if s.cfg.Failpoints {
@@ -284,65 +303,30 @@ func (s *server) serveResult(ctx context.Context, w http.ResponseWriter, r *http
 			hdr = http.Header{"X-Sliced-Fail": []string{v}}
 		}
 	}
-	res, err := c.filler.Fill(ctx, rkey.Hex(), candidates, hdr)
+	res, err := c.filler.Fill(ctx, rk.Hex(), candidates, hdr)
 	if err != nil {
-		return false // fills are best-effort; compute locally
+		return nil
 	}
-	if !s.writeRecord(w, r, res.Data, "peer-fill", res.Peer, id, start) {
-		return false
+	// The filler's Validate ran this same check on these bytes.
+	rec, err := checkRecord(res.Data)
+	if err != nil {
+		return nil
 	}
 	c.fillServes.Add(1)
-	s.results.Put(rkey, res.Data)
-	return true
+	s.cache.PutRecord(rk, rec)
+	w.Header().Set("X-Sliced-Route", "peer-fill")
+	w.Header().Set("X-Sliced-Peer", res.Peer)
+	return rec
 }
 
-// writeRecord decodes a canonical result record, stamps this
-// request's delivery metadata (ID and wall-clock duration — the two
-// fields deliberately zeroed in storage), and writes it. It reports
-// false, writing nothing, if the record does not decode.
-func (s *server) writeRecord(w http.ResponseWriter, r *http.Request, data []byte, tier, peer string, id uint64, start time.Time) bool {
-	var resp sliceResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return false
-	}
-	resp.Request = id
-	resp.DurationNS = time.Since(start).Nanoseconds()
-	w.Header().Set("X-Cache", tier)
-	if tier == "peer-fill" {
-		w.Header().Set("X-Sliced-Route", "peer-fill")
-		w.Header().Set("X-Sliced-Peer", peer)
-	}
-	ri := reqInfoFrom(r)
-	ri.setSliceLines(len(resp.Lines))
-	writeJSON(w, http.StatusOK, &resp)
-	return true
-}
-
-// storeResult serializes a computed response into its canonical
-// record — Request and DurationNS zeroed, so the record is a pure
-// function of the request tuple — and writes it through the result
-// tiers for peers and restarts to find.
-func (s *server) storeResult(rkey slicecache.ResultKey, resp *sliceResponse) {
-	if s.results == nil {
-		return
-	}
-	rec := *resp
-	rec.Request = 0
-	rec.DurationNS = 0
-	data, err := json.Marshal(&rec)
-	if err != nil {
-		return
-	}
-	s.results.Put(rkey, data)
-}
-
-// handleFill (GET /internal/fill?key=) serves one serialized result
-// record to a peer, from cache state only: it never computes, never
-// proxies, and never fills in turn, which is what makes a fill
-// structurally one hop. The key parameter is validated strictly.
+// handleFill (GET /internal/fill?key=) serves one stored reply
+// record to a peer, from cache state only (memory, then disk): it
+// never computes, never proxies, and never fills in turn, which is
+// what makes a fill structurally one hop. The key parameter is
+// validated strictly.
 func (s *server) handleFill(w http.ResponseWriter, r *http.Request) {
-	if s.results == nil {
-		s.fail(w, r, http.StatusNotFound, "not_found", "result cache not enabled (-peers or -disk-dir)")
+	if s.cache == nil {
+		s.fail(w, r, http.StatusNotFound, "not_found", "cache disabled (-cache-off)")
 		return
 	}
 	v := r.URL.Query().Get("key")
@@ -354,33 +338,31 @@ func (s *server) handleFill(w http.ResponseWriter, r *http.Request) {
 	}
 	var key slicecache.ResultKey
 	copy(key[:], raw)
-	data, src := s.results.Get(key)
-	if src == slicecache.ResultMiss {
+	rec, src := s.cache.GetRecord(key, checkRecord)
+	if src == slicecache.RecordMiss {
 		s.fail(w, r, http.StatusNotFound, "not_found", "no record for key %s", v)
 		return
 	}
+	data := rec.Body
 	// The fill-corrupt failpoint serves a torn record so the e2e tests
 	// can prove the requesting side survives corruption.
 	if s.cfg.Failpoints && r.Header.Get("X-Sliced-Fail") == "fill-corrupt" {
 		data = data[:len(data)/2]
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", map[slicecache.ResultSource]string{
-		slicecache.ResultMemory: "result",
-		slicecache.ResultDisk:   "disk",
-	}[src])
+	w.Header().Set("X-Cache", src.String())
 	w.Write(data)
 }
 
 // handleClusterDebug (GET /debug/cluster) reports the routing
 // fabric's live state: self, ring membership, per-peer health, and
-// the result/disk tier ledgers. Without -peers it reports what is
-// enabled ({"enabled":false} when neither clustering nor the disk
-// tier is on).
+// the ledgers of the cache (analyses and records) and the disk store.
+// It reports {"enabled":false} when neither clustering nor the disk
+// tier is on.
 func (s *server) handleClusterDebug(w http.ResponseWriter, r *http.Request) {
 	type tierStats struct {
-		Result *slicecache.ResultStats `json:"result,omitempty"`
-		Disk   *disk.Stats             `json:"disk,omitempty"`
+		Cache *slicecache.Stats `json:"cache,omitempty"`
+		Disk  *disk.Stats       `json:"disk,omitempty"`
 	}
 	out := struct {
 		Enabled bool                `json:"enabled"`
@@ -390,14 +372,10 @@ func (s *server) handleClusterDebug(w http.ResponseWriter, r *http.Request) {
 		Peers   []cluster.PeerState `json:"peers,omitempty"`
 		Tiers   tierStats           `json:"tiers"`
 	}{}
-	if s.results != nil {
-		st := s.results.ResultStats()
-		out.Tiers.Result = &st
-		out.Enabled = true
-	}
 	if s.disk != nil {
 		st := s.disk.Stats()
 		out.Tiers.Disk = &st
+		out.Enabled = true
 	}
 	if c := s.cluster; c != nil {
 		out.Enabled = true
@@ -405,6 +383,10 @@ func (s *server) handleClusterDebug(w http.ResponseWriter, r *http.Request) {
 		out.Vnodes = c.ring.Vnodes()
 		out.Nodes = c.ring.Nodes()
 		out.Peers = c.peers.States()
+	}
+	if out.Enabled {
+		st := s.cache.Stats()
+		out.Tiers.Cache = &st
 	}
 	writeJSON(w, http.StatusOK, out)
 }

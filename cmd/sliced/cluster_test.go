@@ -423,7 +423,8 @@ func TestClusterWarmRestartFromDisk(t *testing.T) {
 		t.Fatalf("post-promotion X-Cache = %q, want result", got)
 	}
 
-	// /debug/cluster reports the tiers.
+	// /debug/cluster reports the tiers: the one cache, holding the
+	// promoted record, and the disk store.
 	r, err := http.Get(ts2.URL + "/debug/cluster")
 	if err != nil {
 		t.Fatal(err)
@@ -431,8 +432,8 @@ func TestClusterWarmRestartFromDisk(t *testing.T) {
 	var dbg struct {
 		Enabled bool `json:"enabled"`
 		Tiers   struct {
-			Result *slicecache.ResultStats `json:"result"`
-			Disk   *struct {
+			Cache *slicecache.Stats `json:"cache"`
+			Disk  *struct {
 				Entries int `json:"entries"`
 			} `json:"disk"`
 		} `json:"tiers"`
@@ -441,7 +442,56 @@ func TestClusterWarmRestartFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Body.Close()
-	if !dbg.Enabled || dbg.Tiers.Result == nil || dbg.Tiers.Disk == nil || dbg.Tiers.Disk.Entries == 0 {
+	if !dbg.Enabled || dbg.Tiers.Cache == nil || dbg.Tiers.Cache.Entries != 1 || dbg.Tiers.Disk == nil || dbg.Tiers.Disk.Entries == 0 {
 		t.Fatalf("/debug/cluster = %+v", dbg)
+	}
+}
+
+// TestClusterProxiedRevalidation asserts a reply's ETag is the same on
+// every node of a fleet, proxied or not, so a client revalidates to
+// 304 wherever its request lands.
+func TestClusterProxiedRevalidation(t *testing.T) {
+	nodes := startCluster(t, 3, nil)
+	src := fig5(t)
+	const query = "var=positives&line=14"
+	key := slicecache.KeyOf(src)
+	owner := nodeByAddr(nodes, nodes[0].s.cluster.ring.Owner(key[:]))
+	var other *clusterNode
+	for _, nd := range nodes {
+		if nd != owner {
+			other = nd
+		}
+	}
+	resp, _ := postNode(t, other.addr, query, src, nil)
+	if got := resp.Header.Get("X-Sliced-Route"); resp.StatusCode != http.StatusOK || got != "proxied" {
+		t.Fatalf("status %d route %q, want a proxied 200", resp.StatusCode, got)
+	}
+	etag := resp.Header.Get("ETag")
+	if direct, _ := postNode(t, owner.addr, query, src, nil); direct.Header.Get("ETag") != etag {
+		t.Fatalf("owner ETag %q, proxied %q", direct.Header.Get("ETag"), etag)
+	}
+	for _, nd := range nodes {
+		resp, body := postNode(t, nd.addr, query, src, map[string]string{"If-None-Match": etag})
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Fatalf("node %s: revalidation answered %d with %d bytes, want an empty 304", nd.addr, resp.StatusCode, len(body))
+		}
+	}
+}
+
+// TestCacheOffRefusesSharing asserts -cache-off cannot be combined
+// with -disk-dir or -peers, which exist only to share stored replies.
+func TestCacheOffRefusesSharing(t *testing.T) {
+	for name, mutate := range map[string]func(*config){
+		"disk-dir": func(cfg *config) { cfg.DiskDir = t.TempDir() },
+		"peers":    func(cfg *config) { cfg.PeerList, cfg.Self = []string{"127.0.0.1:1"}, "127.0.0.1:1" },
+	} {
+		cfg := testConfig(1 << 10)
+		cfg.CacheOff = true
+		mutate(&cfg)
+		s := newServer(cfg, io.Discard)
+		if err := s.openCluster(); err == nil || !strings.Contains(err.Error(), "-cache-off") {
+			s.closeCluster()
+			t.Errorf("%s: openCluster with -cache-off returned %v, want a refusal", name, err)
+		}
 	}
 }

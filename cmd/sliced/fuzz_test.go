@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzHandleSlice drives the /slice handler with arbitrary bodies and
@@ -18,11 +20,12 @@ import (
 // be a server fault on this path — the per-request timeout is
 // disabled), and every non-2xx response carries the structured JSON
 // error envelope. Every 200 is sent a second time to the same server:
-// the repeat, answered from the memoized response unless explain is
-// set, must be a 200 cache hit (algo=sdg, which bypasses the cache,
-// aside) whose body matches the first apart from request and
-// duration_ns, and both bodies must be exactly what
-// writeJSON emits for them.
+// the repeat must be a 200 whose body matches the first apart from
+// request and duration_ns, and both bodies must be exactly what
+// writeJSON emits for them. A non-explain repeat is answered from the
+// stored reply (X-Cache: result), for every algorithm; an explain
+// repeat is recomputed on a reused analysis (X-Cache: hit), except
+// for algo=sdg, which has no analysis cache.
 func FuzzHandleSlice(f *testing.F) {
 	files, _ := filepath.Glob("../../testdata/*.mc")
 	for _, fn := range files {
@@ -82,18 +85,24 @@ func FuzzHandleSlice(f *testing.F) {
 				rec.Code, body, q.Encode(), rec.Body.String())
 		}
 		if rec.Code == 200 {
-			// algo=sdg is served without the analysis cache, so its
-			// repeat carries no X-Cache. The query's algo overrides
-			// the JSON body's, as in parseSliceRequest.
-			eff := algo
-			if eff == "" && asJSON {
-				var jr sliceRequest
-				_ = json.Unmarshal(body, &jr) // a 200 means it decoded
-				eff = jr.Algo
+			want := "result"
+			if explain {
+				// The query's algo overrides the JSON body's, as in
+				// parseSliceRequest.
+				eff := algo
+				if eff == "" && asJSON {
+					var jr sliceRequest
+					_ = json.Unmarshal(body, &jr) // a 200 means it decoded
+					eff = jr.Algo
+				}
+				want = "hit"
+				if eff == "sdg" {
+					want = ""
+				}
 			}
 			again := send()
-			if again.Code != 200 || (eff != "sdg" && again.Header().Get("X-Cache") != "hit") {
-				t.Fatalf("repeat of a 200: status %d X-Cache %q: %s", again.Code, again.Header().Get("X-Cache"), again.Body.String())
+			if again.Code != 200 || again.Header().Get("X-Cache") != want {
+				t.Fatalf("repeat of a 200: status %d X-Cache %q, want %q: %s", again.Code, again.Header().Get("X-Cache"), want, again.Body.String())
 			}
 			if a, b := sansDelivery(t, rec.Body.Bytes()), sansDelivery(t, again.Body.Bytes()); a != b {
 				t.Fatalf("repeat body differs:\n got %s\nwant %s", b, a)
@@ -110,5 +119,65 @@ func FuzzHandleSlice(f *testing.F) {
 				t.Fatalf("malformed envelope for status %d: %+v", rec.Code, ae.Error)
 			}
 		}
+	})
+}
+
+// FuzzRecordCheck drives checkRecord, the gate every stored reply from
+// outside the process (a disk read, a peer fill) passes, with
+// arbitrary bytes. It must never panic, and every record it accepts
+// must splice into a reply that decodes and that writeJSON re-renders
+// byte for byte, with the slice-line count the record reports.
+func FuzzRecordCheck(f *testing.F) {
+	s := newServer(testConfig(64), io.Discard)
+	data, err := os.ReadFile("../../testdata/fig5-a.mc")
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.mux.ServeHTTP(rec, httptest.NewRequest("POST", "/slice?var=positives&line=14", strings.NewReader(string(data))))
+	var resp sliceResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		f.Fatal(err)
+	}
+	stored := sliceBody(&resp)
+	compact, err := json.Marshal(&resp) // the format of version 1 records
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := checkRecord(stored); err != nil {
+		f.Fatalf("a record this daemon stored is refused: %v", err)
+	}
+	f.Add(stored)
+	for _, bad := range [][]byte{
+		stored[:len(stored)/2],
+		compact,
+		bytes.Replace(stored, []byte(`"var"`), []byte(`"extra": 1,
+  "var"`), 1),
+		[]byte(`,"algorithm":"agrawal","lines":[1],"duration_ns":`),
+	} {
+		if _, err := checkRecord(bad); err == nil {
+			f.Fatalf("checkRecord accepted %q", bad)
+		}
+		f.Add(bad)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r, err := checkRecord(body)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(r.Body, body) {
+			t.Fatalf("accepted record holds %q, not its input %q", r.Body, body)
+		}
+		w := httptest.NewRecorder()
+		writeSliceBody(w, r.Body, 7, time.Now())
+		var sr sliceResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil {
+			t.Fatalf("accepted record splices into an undecodable reply: %v\n%s", err, w.Body.Bytes())
+		}
+		if sr.Request != 7 || sr.Algorithm == "" || len(sr.Lines) != r.SliceLines || r.SliceLines == 0 {
+			t.Fatalf("accepted record decodes to %+v, reports %d slice lines", sr, r.SliceLines)
+		}
+		checkReencodes(t, w.Body.Bytes())
 	})
 }

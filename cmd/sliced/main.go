@@ -13,10 +13,12 @@
 //	                    annotated listing to the response.
 //	                    Responses carry a strong ETag derived from the
 //	                    request (the slicer is deterministic), honour
-//	                    If-None-Match with 304, and report the analysis
-//	                    cache's verdict in X-Cache: hit, miss, or
+//	                    If-None-Match with 304, and report the cache's
+//	                    verdict in X-Cache: result (a stored reply),
+//	                    hit (the analysis was cached), miss, or
 //	                    coalesced (joined another request's in-flight
-//	                    analysis).
+//	                    analysis); disk and peer-fill with -disk-dir
+//	                    and -peers.
 //	POST /session       open an incremental editor session: the body
 //	                    is the program source (raw, or JSON
 //	                    {"source":..}); the response carries the
@@ -60,13 +62,13 @@
 //	                    drop counters, and the active segment pointer
 //	                    ({"enabled":false} when -spool-dir is unset).
 //	GET  /debug/cluster the cluster's membership and tier view: ring
-//	                    nodes, per-peer health, and result/disk tier
+//	                    nodes, per-peer health, and cache/disk
 //	                    occupancy ({"enabled":false} when neither
 //	                    -peers nor -disk-dir is set).
-//	GET  /internal/fill peer cache-fill protocol (?key= names a
-//	                    serialized result record by hex address); for
-//	                    node-to-node use, answering 404 on a local
-//	                    miss — peers fall back to computing.
+//	GET  /internal/fill peer cache-fill protocol (?key= names a stored
+//	                    reply by its hex record key); for node-to-node
+//	                    use, answering 404 on a local miss — peers
+//	                    fall back to computing.
 //	GET  /healthz       liveness probe; reports the build revision.
 //
 // The access log emits one line per request (-log-format text or
@@ -106,11 +108,10 @@
 // X-Sliced-Node, X-Sliced-Route (local, proxied, peer-fill) and
 // X-Sliced-Peer on every response say who served it and how; health
 // probes (-probe-interval) gate hops, never ownership, so a dead
-// peer degrades to local computation. -disk-dir adds a disk-backed
-// result tier (-disk-bytes budget; -result-bytes bounds the
-// in-memory record cache) so a restarted node serves its prior
-// results as X-Cache: disk without recomputing. See internal/cluster
-// and internal/slicecache/disk.
+// peer degrades to local computation. -disk-dir writes every stored
+// reply through to a disk store (-disk-bytes budget), so a restarted
+// node serves its prior replies as X-Cache: disk without recomputing.
+// See internal/cluster and internal/slicecache/disk.
 //
 // Every request gets a monotonically increasing ID, echoed in the
 // X-Request-ID response header and stamped on its trace events, so a
@@ -135,17 +136,15 @@
 //	-max-inflight N  concurrent /slice admission slots (default
 //	                 2×GOMAXPROCS); excess load is shed with 503 and
 //	                 a Retry-After header instead of queueing.
-//	-cache-bytes N   analysis cache budget (default 64 MiB). Completed
-//	                 analyses are cached by content hash of the program
-//	                 source, so repeated and concurrent requests for
-//	                 the same program skip the whole pipeline; N
-//	                 concurrent identical requests run one analysis.
-//	                 Each analysis also keeps its rendered non-explain
-//	                 replies, charged to the same budget, so a repeated
-//	                 request is answered from stored bytes (not with
-//	                 -peers or -disk-dir, whose result tier already
-//	                 keeps every reply).
-//	-cache-off       disable the analysis cache entirely.
+//	-cache-bytes N   cache budget (default 64 MiB). Completed analyses
+//	                 are cached by content hash of the program source,
+//	                 so repeated and concurrent requests for the same
+//	                 program skip the whole pipeline; N concurrent
+//	                 identical requests run one analysis. Non-explain
+//	                 replies are stored too, under the same budget, so
+//	                 a repeated request is answered from stored bytes.
+//	-cache-off       disable all in-process caching; refused with
+//	                 -disk-dir or -peers, which share stored replies.
 //
 // A panic while serving one request is recovered, logged with its
 // stack, and answered as a 500 naming the request ID; the daemon
@@ -169,8 +168,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -209,8 +206,8 @@ func main() {
 	flag.Int64Var(&cfg.MaxBody, "max-body", cfg.MaxBody, "request body limit in bytes")
 	flag.IntVar(&cfg.MaxStmts, "max-stmts", cfg.MaxStmts, "parsed statement count limit per program")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrent /slice requests before shedding load")
-	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "analysis cache budget in bytes")
-	flag.BoolVar(&cfg.CacheOff, "cache-off", cfg.CacheOff, "disable the analysis cache")
+	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "cache budget in bytes, for analyses and stored replies")
+	flag.BoolVar(&cfg.CacheOff, "cache-off", cfg.CacheOff, "disable all in-process caching (refused with -disk-dir or -peers)")
 	flag.StringVar(&cfg.LogFormat, "log-format", cfg.LogFormat, "access log format: text or json (one wide event per line)")
 	flag.IntVar(&cfg.Requests, "requests", cfg.Requests, "wide-event ring capacity served at /debug/requests")
 	flag.DurationVar(&cfg.SLOWindow, "slo-window", cfg.SLOWindow, "sliding SLO window span (10 rotating buckets)")
@@ -230,7 +227,6 @@ func main() {
 	flag.StringVar(&cfg.DiskDir, "disk-dir", cfg.DiskDir, "disk-backed result tier directory for warm restarts (empty disables)")
 	flag.Int64Var(&cfg.DiskBytes, "disk-bytes", cfg.DiskBytes, "disk result tier budget in bytes (oldest segments reclaimed)")
 	flag.Int64Var(&cfg.DiskSegment, "disk-segment", cfg.DiskSegment, "disk result tier segment roll size in bytes")
-	flag.Int64Var(&cfg.ResultBytes, "result-bytes", cfg.ResultBytes, "in-memory result record cache budget in bytes")
 	flag.Parse()
 	if *peers != "" {
 		for _, p := range strings.Split(*peers, ",") {
@@ -314,11 +310,10 @@ type config struct {
 	FillCandidates int
 	// DiskDir enables the disk-backed result tier (warm restarts) when
 	// non-empty; DiskBytes is its budget, DiskSegment the segment roll
-	// size, ResultBytes the in-memory result tier's budget.
+	// size.
 	DiskDir     string
 	DiskBytes   int64
 	DiskSegment int64
-	ResultBytes int64
 }
 
 func defaultConfig() config {
@@ -342,7 +337,6 @@ func defaultConfig() config {
 		FillCandidates: 2,
 		DiskBytes:      disk.DefaultMaxBytes,
 		DiskSegment:    disk.DefaultSegmentBytes,
-		ResultBytes:    32 << 20,
 	}
 }
 
@@ -438,8 +432,9 @@ type server struct {
 	mux    *http.ServeMux
 	sem    chan struct{} // admission slots; acquired for the whole /slice handler
 	// cache memoizes completed analyses by content hash of the program
-	// source; nil when disabled. Cached analyses are detached — each
-	// request binds its own view with Rebind.
+	// source, and finished /slice replies by record key; nil when
+	// disabled. Cached analyses are detached — each request binds its
+	// own view with Rebind.
 	cache *slicecache.Cache
 	// sessions maps open editor-session IDs to their source text; each
 	// session's analysis lives in cache under slicecache.SessionKey, so
@@ -468,13 +463,11 @@ type server struct {
 	// unblock releases requests parked by the "block" failpoint; the
 	// resilience tests close it to let in-flight work finish.
 	unblock chan struct{}
-	// cluster is the routing fabric (nil without -peers); results the
-	// two-tier serialized result cache (nil unless -peers or -disk-dir
-	// enables it); disk the persistent tier under it (nil without
-	// -disk-dir). All are assigned by openCluster before any request
+	// cluster is the routing fabric (nil without -peers); disk the
+	// store cache's records are written through to (nil without
+	// -disk-dir). Both are assigned by openCluster before any request
 	// is served.
 	cluster *clusterState
-	results *slicecache.ResultCache
 	disk    *disk.Store
 }
 
@@ -518,11 +511,9 @@ func newServer(cfg config, logw io.Writer) *server {
 		"full":    s.reg.Counter("http.incr.full"),
 	}
 	s.build = readBuildDetails()
-	if !cfg.CacheOff {
-		s.cache = slicecache.New(slicecache.Options{
-			MaxBytes: cfg.CacheBytes,
-			Recorder: s.reg,
-		})
+	if !cfg.CacheOff && cfg.DiskDir == "" {
+		// With -disk-dir, openCluster builds the cache over the store.
+		s.cache = s.newCache(nil)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/slice", s.methods(map[string]http.HandlerFunc{
@@ -953,12 +944,16 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, r, "request", err)
 		return
 	}
-	// The slicer is deterministic, so the request tuple identifies the
-	// slice content and makes a valid strong validator. (The request
-	// and duration_ns response fields vary per request; they are
-	// delivery metadata, not content — the semantic payload a client
-	// revalidates is the slice itself.)
-	etag := sliceETag(req, explain)
+	// The request's one pass over the source: k addresses the program
+	// (analysis cache, ring placement), and rk, hashed from k and the
+	// criterion, addresses the reply. The slicer is deterministic, so
+	// rk identifies the slice content and makes a valid strong
+	// validator. (The request and duration_ns response fields vary per
+	// request; they are delivery metadata, not content — the semantic
+	// payload a client revalidates is the slice itself.)
+	k := slicecache.KeyOf(req.Source)
+	rk := slicecache.ResultKeyOf(string(k[:]), req.Var, strconv.Itoa(req.Line), req.Algo, strconv.FormatBool(explain))
+	etag := `"` + rk.Hex() + `"`
 	w.Header().Set("ETag", etag)
 	if inm := r.Header.Get("If-None-Match"); etagMatches(inm, etag) {
 		w.WriteHeader(http.StatusNotModified)
@@ -977,58 +972,55 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	// Cluster placement: a request for a program owned by another node
-	// is proxied there (one hop max), then the local result tiers —
-	// memory, disk, peer fill — get a chance to answer before the
-	// pipeline runs. Every tier is best-effort: any failure falls
-	// through to local compute.
-	if s.routeSlice(ctx, w, r, req) {
+	// is proxied there (one hop max). Then a stored reply — memory,
+	// disk, peer fill — gets a chance to answer before the pipeline
+	// runs. Explain replies carry per-line reasons and a full listing;
+	// they are computed on demand and never stored.
+	if s.routeSlice(ctx, w, r, req, k) {
 		return
 	}
-	if s.cluster != nil || s.results != nil {
+	if s.cluster != nil || s.disk != nil {
 		w.Header().Set("X-Sliced-Route", "local")
 	}
-	// The result key hashes the whole source; only the result tier
-	// (-peers, -disk-dir) reads it.
-	var rkey slicecache.ResultKey
-	if s.results != nil {
-		rkey = resultKeyFor(req, explain)
-	}
-	if s.serveResult(ctx, w, r, req, rkey, id, start) {
+	if !explain && s.serveRecord(ctx, w, r, k, rk, id, start) {
 		return
 	}
 
+	var resp *sliceResponse
+	var stmts int
 	if req.Algo == "sdg" {
-		s.handleSliceSDG(ctx, w, r, req, explain, rkey, id, ri, start, tr)
-		return
+		resp, stmts = s.sliceSDG(ctx, w, r, req, explain, tr)
+	} else {
+		resp, stmts = s.sliceCFG(ctx, w, r, k, req, explain, tr)
 	}
+	if resp == nil {
+		return // already answered with an error
+	}
+	ri.setSliceLines(len(resp.Lines))
+	body := sliceBody(resp)
+	if !explain && s.cache != nil {
+		s.cache.PutRecord(rk, &slicecache.Record{Body: body, SliceLines: len(resp.Lines), Stmts: stmts})
+	}
+	writeSliceBody(w, body, id, start)
+}
 
-	// Non-explain replies are memoized on the analysis-cache entry,
-	// unless a result tier already stores every reply. Explain replies
-	// carry per-line reasons and a full listing; they are computed on
-	// demand.
-	var rk *slicecache.ResponseKey
-	if !explain && s.cache != nil && s.results == nil {
-		rk = &slicecache.ResponseKey{Var: req.Var, Line: req.Line, Algo: req.Algo}
-	}
-	a, memo := s.analysisFor(ctx, w, r, req.Source, rk, tr)
-	if memo != nil {
-		ri.setStmts(memo.Stmts)
-		ri.setSliceLines(memo.SliceLines)
-		writeSliceBody(w, memo.Body, id, start)
-		return
-	}
+// sliceCFG computes a single-procedure slice on the analysis of the
+// program keyed k, through the analysis cache when one is configured.
+// It returns the reply and the program's statement count; a nil reply
+// means the error response was already written.
+func (s *server) sliceCFG(ctx context.Context, w http.ResponseWriter, r *http.Request, k slicecache.Key, req *sliceRequest, explain bool, tr *obs.Tracer) (*sliceResponse, int) {
+	a := s.analysisFor(ctx, w, r, k, req.Source, tr)
 	if a == nil {
-		return // analysisFor already answered
+		return nil, 0 // analysisFor already answered
 	}
 	stmts := len(lang.Statements(a.Prog))
-	ri.setStmts(stmts)
+	reqInfoFrom(r).setStmts(stmts)
 	sl, err := coreSlice(a, req.Algo, core.Criterion{Var: req.Var, Line: req.Line})
 	if err != nil {
 		s.failErr(w, r, "slice", err)
-		return
+		return nil, 0
 	}
 	resp := &sliceResponse{
-		Request:    id,
 		Algorithm:  sl.Algorithm,
 		Var:        req.Var,
 		Line:       req.Line,
@@ -1044,26 +1036,20 @@ func (s *server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				s.failErr(w, r, "explain", err)
-				return
+				return nil, 0
 			}
 			s.fail(w, r, http.StatusInternalServerError, "explain_failed", "explain: %v", err)
-			return
+			return nil, 0
 		}
 		resp.Reasons = p.LineReasons()
 		resp.Listing = p.Listing()
 	}
-	ri.setSliceLines(len(resp.Lines))
-	s.storeResult(rkey, resp)
-	body := sliceBody(resp)
-	if rk != nil {
-		s.cache.PutResponse(req.Source, *rk, &slicecache.Response{Body: body, SliceLines: len(resp.Lines), Stmts: stmts})
-	}
-	writeSliceBody(w, body, id, start)
+	return resp, stmts
 }
 
 // A /slice reply is rendered once as the bytes writeJSON emits for it
 // with request and duration_ns set to 0, minus those two zeros; that
-// body is what the memo stores. request is the first field and
+// body is what a record stores. request is the first field and
 // duration_ns the last, so both values sit at fixed offsets from the
 // ends: a reply is replyHead, the request ID, the body, the duration,
 // replyTail. The body is never searched, because text can hold any
@@ -1114,38 +1100,38 @@ func writeSliceBody(w http.ResponseWriter, body []byte, id uint64, start time.Ti
 	w.Write(b)
 }
 
-// handleSliceSDG serves algo=sdg: the interprocedural (system
-// dependence graph) slice. Programs here may declare procedures, so
-// the request goes through core.AnalyzeProgramSet rather than the
-// single-procedure analysis cache — the ETag (full source + criterion
-// + algorithm) already content-addresses every procedure text, so 304
-// revalidation works unchanged. Explain reports the interprocedural
-// edge evidence (call, param-in, param-out, summary) per slice line.
-func (s *server) handleSliceSDG(ctx context.Context, w http.ResponseWriter, r *http.Request, req *sliceRequest, explain bool, rkey slicecache.ResultKey, id uint64, ri *reqInfo, start time.Time, tr *obs.Tracer) {
+// sliceSDG computes algo=sdg: the interprocedural (system dependence
+// graph) slice. Programs here may declare procedures, so the request
+// goes through core.AnalyzeProgramSet rather than the single-procedure
+// analysis cache; its reply is stored like any other, since the record
+// key content-addresses every procedure text. Explain reports the
+// interprocedural edge evidence (call, param-in, param-out, summary)
+// per slice line. It returns the reply and the program's statement
+// count; a nil reply means the error response was already written.
+func (s *server) sliceSDG(ctx context.Context, w http.ResponseWriter, r *http.Request, req *sliceRequest, explain bool, tr *obs.Tracer) (*sliceResponse, int) {
 	prog, err := lang.Parse(req.Source)
 	if err != nil {
 		s.failErr(w, r, "analyze", httpErrorf(http.StatusUnprocessableEntity, "invalid_program", "parse: %v", err))
-		return
+		return nil, 0
 	}
 	stmts := len(lang.Statements(prog))
 	if stmts > s.cfg.MaxStmts {
 		s.failErr(w, r, "analyze", httpErrorf(http.StatusRequestEntityTooLarge, "program_too_large",
 			"program has %d statements, over the %d limit", stmts, s.cfg.MaxStmts))
-		return
+		return nil, 0
 	}
 	ps, err := core.AnalyzeProgramSetObservedContext(ctx, prog, s.reg, tr)
 	if err != nil {
 		s.failErr(w, r, "analyze", err)
-		return
+		return nil, 0
 	}
-	ri.setStmts(stmts)
+	reqInfoFrom(r).setStmts(stmts)
 	sl, err := ps.SliceInterproc(core.Criterion{Var: req.Var, Line: req.Line})
 	if err != nil {
 		s.failErr(w, r, "slice", err)
-		return
+		return nil, 0
 	}
 	resp := &sliceResponse{
-		Request:    id,
 		Algorithm:  sl.Algorithm,
 		Var:        req.Var,
 		Line:       req.Line,
@@ -1162,10 +1148,7 @@ func (s *server) handleSliceSDG(ctx context.Context, w http.ResponseWriter, r *h
 	if explain {
 		resp.Reasons = sl.EdgeReasons()
 	}
-	resp.DurationNS = time.Since(start).Nanoseconds()
-	ri.setSliceLines(len(resp.Lines))
-	s.storeResult(rkey, resp)
-	writeJSON(w, http.StatusOK, resp)
+	return resp, stmts
 }
 
 // buildAnalysis is the uncached analysis path — parse, size gate,
@@ -1184,25 +1167,23 @@ func (s *server) buildAnalysis(ctx context.Context, source string, tr *obs.Trace
 	return core.AnalyzeObservedContext(ctx, prog, s.reg, tr)
 }
 
-// analysisFor produces the request's analysis, through the cache when
-// one is configured. On the cached path the build runs detached (the
-// cache owns its context and the result outlives this request) and
-// the hit is rebound to this request's deadline and trace; parse and
-// size-limit faults ride the cache's negative entries, so repeated
-// malformed programs are refused from memory. With rk set, a hit on
-// an entry that memoizes a response under rk returns that response
-// instead, with no analysis. Two nil returns mean the error response
-// was already written.
-func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http.Request, source string, rk *slicecache.ResponseKey, tr *obs.Tracer) (*core.Analysis, *slicecache.Response) {
+// analysisFor produces the analysis of source, keyed k, through the
+// cache when one is configured. On the cached path the build runs
+// detached (the cache owns its context and the result outlives this
+// request) and the hit is rebound to this request's deadline and
+// trace; parse and size-limit faults ride the cache's negative
+// entries, so repeated malformed programs are refused from memory. A
+// nil return means the error response was already written.
+func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http.Request, k slicecache.Key, source string, tr *obs.Tracer) *core.Analysis {
 	if s.cache == nil {
 		a, err := s.buildAnalysis(ctx, source, tr)
 		if err != nil {
 			s.failErr(w, r, "analyze", err)
-			return nil, nil
+			return nil
 		}
-		return a, nil
+		return a
 	}
-	cached, memo, outcome, err := s.cache.GetResponse(ctx, source, rk, func(bctx context.Context) (*core.Analysis, error) {
+	cached, outcome, err := s.cache.GetAt(ctx, k, len(source), func(bctx context.Context) (*core.Analysis, error) {
 		a, err := s.buildAnalysis(bctx, source, tr)
 		if err != nil {
 			return nil, err
@@ -1213,27 +1194,9 @@ func (s *server) analysisFor(ctx context.Context, w http.ResponseWriter, r *http
 	tr.Instant("cache."+outcome.String(), 1)
 	if err != nil {
 		s.failErr(w, r, "analyze", err)
-		return nil, nil
+		return nil
 	}
-	if memo != nil {
-		tr.Instant("cache.response", 1)
-		reqInfoFrom(r).setResponseHit()
-		return nil, memo
-	}
-	return cached.Rebind(ctx, s.reg, tr), nil
-}
-
-// sliceETag derives the strong validator for a slice request: the
-// content hash of everything the response's semantic payload depends
-// on — program source, criterion, algorithm, and whether provenance
-// was requested.
-func sliceETag(req *sliceRequest, explain bool) string {
-	h := sha256.New()
-	for _, part := range []string{"sliced-etag-v1", req.Source, req.Var, strconv.Itoa(req.Line), req.Algo, strconv.FormatBool(explain)} {
-		h.Write([]byte(part))
-		h.Write([]byte{0})
-	}
-	return `"` + hex.EncodeToString(h.Sum(nil)) + `"`
+	return cached.Rebind(ctx, s.reg, tr)
 }
 
 // etagMatches implements If-None-Match for a single strong validator:

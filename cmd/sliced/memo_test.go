@@ -15,6 +15,7 @@ import (
 
 	"jumpslice/internal/lang"
 	"jumpslice/internal/progen"
+	"jumpslice/internal/slicecache"
 )
 
 // deliveryRE matches the two per-request values of a /slice reply,
@@ -61,24 +62,85 @@ func serveSlice(s *server, src, query string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestResponseMemoMatchesCold asserts a memoized reply is the reply
-// computed from scratch. Over structured and unstructured programs,
-// every write criterion, every single-procedure algorithm and explain
-// on and off, the first and the repeated body on one server, a
-// cache-off server's body and the body recomputed after eviction are
-// byte-identical apart from request and duration_ns, and each is what
-// writeJSON emits for it. Repeats are X-Cache hits; exactly the
-// non-explain ones are answered from memoized bytes.
+// sliceCase is one /slice request of the byte-identity matrix, with
+// the reply a default server gave it first.
+type sliceCase struct {
+	name, src, query string
+	explain          bool
+	first            *httptest.ResponseRecorder
+}
+
+// diskServer boots a server whose records are written through to a
+// disk store in dir.
+func diskServer(t *testing.T, dir string) *server {
+	t.Helper()
+	cfg := testConfig(1 << 10)
+	cfg.DiskDir = dir
+	s := newServer(cfg, io.Discard)
+	if err := s.openCluster(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestResponseMemoMatchesCold asserts a stored reply is the reply
+// computed from scratch, in every configuration. Over structured and
+// unstructured programs, every write criterion, every algorithm and
+// explain on and off, these bodies are byte-identical apart from
+// request and duration_ns, and each is what writeJSON emits for it:
+// the first and the repeated reply of a default server, a cache-off
+// server's, the reply recomputed after eviction, a -disk-dir server's
+// first and repeated reply, the same directory's after a restart
+// (X-Cache: disk, then result), and a cluster node's that fills it
+// from the peer that computed it. Repeats of non-explain replies are
+// answered from stored bytes (X-Cache: result); explain replies are
+// computed on demand, so their repeats are analysis hits (none for
+// algo=sdg, which has no analysis cache).
 func TestResponseMemoMatchesCold(t *testing.T) {
 	s := newServer(testConfig(1<<10), io.Discard)
 	offCfg := testConfig(1 << 10)
 	offCfg.CacheOff = true
 	off := newServer(offCfg, io.Discard)
 	tinyCfg := testConfig(1 << 10)
-	tinyCfg.CacheBytes = 1 // every analysis is evicted as it is inserted
+	tinyCfg.CacheBytes = 1 // every analysis and record is evicted as it is inserted
 	tiny := newServer(tinyCfg, io.Discard)
+	dir := t.TempDir()
+	disk1 := diskServer(t, dir)
+	nodes := startCluster(t, 2, nil)
 
-	var memoHits int64
+	// same asserts r answers c as c.first did.
+	same := func(c *sliceCase, label string, r *httptest.ResponseRecorder) {
+		t.Helper()
+		if r.Code != c.first.Code {
+			t.Fatalf("%s: %s status %d, first %d", c.name, label, r.Code, c.first.Code)
+		}
+		if r.Code != http.StatusOK {
+			return
+		}
+		if got, want := sansDelivery(t, r.Body.Bytes()), sansDelivery(t, c.first.Body.Bytes()); got != want {
+			t.Fatalf("%s: %s body differs:\n got %s\nwant %s", c.name, label, got, want)
+		}
+		checkReencodes(t, r.Body.Bytes())
+	}
+	// repeatTier is the X-Cache a repeat of c answers with.
+	repeatTier := func(c *sliceCase) string {
+		switch {
+		case !c.explain:
+			return "result"
+		case strings.Contains(c.query, "algo=sdg"):
+			return ""
+		}
+		return "hit"
+	}
+	tier := func(c *sliceCase, label string, r *httptest.ResponseRecorder, want string) {
+		t.Helper()
+		if c.first.Code == http.StatusOK && r.Header().Get("X-Cache") != want {
+			t.Fatalf("%s: %s X-Cache = %q, want %q", c.name, label, r.Header().Get("X-Cache"), want)
+		}
+	}
+
+	var cases []*sliceCase
+	var stored int64
 	for _, gen := range []func(progen.Config) *lang.Program{progen.Structured, progen.Unstructured} {
 		for seed := int64(1); seed <= 2; seed++ {
 			src := lang.Format(gen(progen.Config{Seed: seed, Stmts: 30}), lang.PrintOptions{})
@@ -88,68 +150,89 @@ func TestResponseMemoMatchesCold(t *testing.T) {
 			}
 			for _, wc := range progen.WriteCriteria(p) {
 				for _, algo := range knownAlgos {
-					if algo == "sdg" {
-						continue
-					}
 					for _, explain := range []bool{false, true} {
 						q := url.Values{"var": {wc.Var}, "line": {fmt.Sprint(wc.Line)}, "algo": {algo}}
 						if explain {
 							q.Set("explain", "1")
 						}
-						name := fmt.Sprintf("seed %d %s", seed, q.Encode())
-						first := serveSlice(s, src, q.Encode())
-						repeat := serveSlice(s, src, q.Encode())
-						cold := serveSlice(off, src, q.Encode())
-						evicted := serveSlice(tiny, src, q.Encode())
-						if first.Code != http.StatusOK {
-							// The same refusal everywhere, never memoized.
-							for _, r := range []*httptest.ResponseRecorder{repeat, cold, evicted} {
-								if r.Code != first.Code {
-									t.Fatalf("%s: status %d, then %d", name, first.Code, r.Code)
-								}
+						c := &sliceCase{name: fmt.Sprintf("seed %d %s", seed, q.Encode()), src: src, query: q.Encode(), explain: explain}
+						c.first = serveSlice(s, src, c.query)
+						cases = append(cases, c)
+						if c.first.Code == http.StatusOK {
+							checkReencodes(t, c.first.Body.Bytes())
+							if !explain {
+								stored++
 							}
-							continue
 						}
-						if got := repeat.Header().Get("X-Cache"); got != "hit" {
-							t.Fatalf("%s: repeat X-Cache = %q, want hit", name, got)
-						}
-						if !explain {
-							memoHits++
-						}
-						want := sansDelivery(t, first.Body.Bytes())
-						for label, r := range map[string]*httptest.ResponseRecorder{"repeat": repeat, "cache-off": cold, "evicted": evicted} {
-							if r.Code != http.StatusOK {
-								t.Fatalf("%s: %s status %d", name, label, r.Code)
-							}
-							if got := sansDelivery(t, r.Body.Bytes()); got != want {
-								t.Fatalf("%s: %s body differs:\n got %s\nwant %s", name, label, got, want)
-							}
-							checkReencodes(t, r.Body.Bytes())
-						}
-						checkReencodes(t, first.Body.Bytes())
+						repeat := serveSlice(s, src, c.query)
+						same(c, "repeat", repeat)
+						tier(c, "repeat", repeat, repeatTier(c))
+						same(c, "cache-off", serveSlice(off, src, c.query))
+						same(c, "evicted", serveSlice(tiny, src, c.query))
+						same(c, "disk-dir", serveSlice(disk1, src, c.query))
+						repeat = serveSlice(disk1, src, c.query)
+						same(c, "disk-dir repeat", repeat)
+						tier(c, "disk-dir repeat", repeat, repeatTier(c))
 					}
 				}
 			}
 		}
 	}
-	if memoHits == 0 {
+	if stored == 0 {
 		t.Fatal("no criterion produced a 200")
 	}
-	if got := s.cache.Stats().ResponseHits; got != memoHits {
-		t.Errorf("ResponseHits = %d, want one per repeated non-explain request (%d)", got, memoHits)
+	if got := s.cache.Stats().ResponseHits; got != stored {
+		t.Errorf("ResponseHits = %d, want one per repeated non-explain request (%d)", got, stored)
 	}
 	if st := tiny.cache.Stats(); st.ResponseHits != 0 || st.Hits != 0 {
 		t.Errorf("tiny cache served hits: %+v", st)
 	}
+
+	// A restart over the same directory reads every stored reply back.
+	disk1.closeCluster()
+	disk2 := diskServer(t, dir)
+	t.Cleanup(disk2.closeCluster)
+	for _, c := range cases {
+		first, repeat := serveSlice(disk2, c.src, c.query), serveSlice(disk2, c.src, c.query)
+		same(c, "restarted", first)
+		same(c, "restarted repeat", repeat)
+		if !c.explain {
+			tier(c, "restarted", first, "disk")
+			tier(c, "restarted repeat", repeat, "result")
+		}
+	}
+
+	// A cluster node fills each stored reply from the peer that
+	// computed it: the request that seeds the peer carries the hop
+	// marker, so the peer serves it itself.
+	for _, c := range cases {
+		k := slicecache.KeyOf(c.src)
+		owner := nodeByAddr(nodes, nodes[0].s.cluster.ring.Owner(k[:]))
+		peer := nodes[0]
+		if peer == owner {
+			peer = nodes[1]
+		}
+		if !c.explain {
+			postNode(t, peer.addr, c.query, c.src, map[string]string{routedFromHeader: "test"})
+		}
+		resp, body := postNode(t, owner.addr, c.query, c.src, nil)
+		r := httptest.NewRecorder()
+		r.Code = resp.StatusCode
+		r.Body.Write(body)
+		same(c, "cluster", r)
+		if !c.explain && resp.StatusCode == http.StatusOK && resp.Header.Get("X-Cache") != "peer-fill" {
+			t.Fatalf("%s: cluster X-Cache = %q, want peer-fill", c.name, resp.Header.Get("X-Cache"))
+		}
+	}
 }
 
-// TestResponseMemoKeyOwnsItsStrings asserts a memoized reply does not
+// TestResponseMemoKeyOwnsItsStrings asserts a stored reply does not
 // keep its request alive. Query values are views of the request line,
 // which a client can pad to about a megabyte with unknown parameters,
-// and a memo key is charged only for its own lengths: were it to hold
-// those views, -cache-bytes would no longer bound what stays in
-// memory. The requests bypass the telemetry middleware, whose request
-// ring keeps a bounded number of recent events.
+// and a record is charged only for its body: were it to hold those
+// views, -cache-bytes would no longer bound what stays in memory. The
+// requests bypass the telemetry middleware, whose request ring keeps
+// a bounded number of recent events.
 func TestResponseMemoKeyOwnsItsStrings(t *testing.T) {
 	s := newServer(testConfig(1<<10), io.Discard)
 	src := lang.Format(progen.Structured(progen.Config{Seed: 1, Stmts: 30}), lang.PrintOptions{})
@@ -192,35 +275,7 @@ func TestResponseMemoKeyOwnsItsStrings(t *testing.T) {
 	grown := heap() - before
 	runtime.KeepAlive(s) // the cache must survive the measurement
 	if limit := int64(stored * len(pad) / 4); grown > limit {
-		t.Errorf("heap grew %d bytes over %d memoized replies (limit %d): stored keys pin their %d-byte request lines",
+		t.Errorf("heap grew %d bytes over %d stored replies (limit %d): records pin their %d-byte request lines",
 			grown, stored, limit, len(pad))
-	}
-}
-
-// TestResponseMemoOffWithResultTier asserts a node with a result tier
-// (-peers, -disk-dir) memoizes no reply on its analyses: the tier
-// already stores every reply, so the analysis cache holds only the
-// analysis, exactly as after an explain request.
-func TestResponseMemoOffWithResultTier(t *testing.T) {
-	src := fig5(t)
-	plain := newServer(testConfig(1<<10), io.Discard)
-	if rec := serveSlice(plain, src, "var=positives&line=14&explain=1"); rec.Code != http.StatusOK {
-		t.Fatalf("explain status %d", rec.Code)
-	}
-	cfg := testConfig(1 << 10)
-	cfg.DiskDir = t.TempDir()
-	s := newServer(cfg, io.Discard)
-	if err := s.openCluster(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.closeCluster)
-	for i, want := range []string{"miss", "result"} {
-		rec := serveSlice(s, src, "var=positives&line=14")
-		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != want {
-			t.Fatalf("request %d: status %d X-Cache %q, want %s", i, rec.Code, rec.Header().Get("X-Cache"), want)
-		}
-	}
-	if got, want := s.cache.Stats().Bytes, plain.cache.Stats().Bytes; got != want {
-		t.Errorf("analysis cache holds %d bytes, want the analysis alone (%d)", got, want)
 	}
 }

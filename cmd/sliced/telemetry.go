@@ -38,13 +38,12 @@ import (
 // goroutine, so plain fields suffice (the SpanLog has its own lock —
 // a coalesced cache build may record spans from another goroutine).
 type reqInfo struct {
-	algo        string
-	stmts       int
-	sliceLines  int
-	responseHit bool
-	errCode     string
-	outcome     string // set only by gate/panic paths; "" = derive from status
-	spans       *obs.SpanLog
+	algo       string
+	stmts      int
+	sliceLines int
+	errCode    string
+	outcome    string // set only by gate/panic paths; "" = derive from status
+	spans      *obs.SpanLog
 }
 
 func (ri *reqInfo) setAlgo(a string) {
@@ -62,12 +61,6 @@ func (ri *reqInfo) setStmts(n int) {
 func (ri *reqInfo) setSliceLines(n int) {
 	if ri != nil {
 		ri.sliceLines = n
-	}
-}
-
-func (ri *reqInfo) setResponseHit() {
-	if ri != nil {
-		ri.responseHit = true
 	}
 }
 
@@ -187,7 +180,6 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			Stmts:       ri.stmts,
 			SliceLines:  ri.sliceLines,
 			Cache:       sw.Header().Get("X-Cache"),
-			ResponseHit: ri.responseHit,
 			Incremental: sw.Header().Get("X-Incremental"),
 			Route:       sw.Header().Get("X-Sliced-Route"),
 			Peer:        sw.Header().Get("X-Sliced-Peer"),
@@ -225,9 +217,6 @@ func (s *server) logAccess(ev *obs.WideEvent) {
 	}
 	if ev.Cache != "" {
 		fmt.Fprintf(&sb, " cache=%s", ev.Cache)
-	}
-	if ev.ResponseHit {
-		sb.WriteString(" response_hit")
 	}
 	if ev.Incremental != "" {
 		fmt.Fprintf(&sb, " incr=%s", ev.Incremental)

@@ -111,32 +111,20 @@ func TestWideEventRecordsSliceRequest(t *testing.T) {
 		t.Errorf("phases %v missing phase.analyze.cfg", ev.Phases)
 	}
 
-	if ev.ResponseHit {
-		t.Error("a cold request is marked as a response hit")
-	}
-
-	// A second identical request is a cache hit answered from the
-	// memoized response: no pipeline phases, tier "hit", the same
-	// slicing annotations, and a cache.response trace instant.
+	// A second identical request is answered from its stored reply: no
+	// pipeline phases, tier "result", the same slicing annotations.
 	postSlice(t, ts, "var=positives&line=14", fig5(t))
 	page = getRequests(t, ts.URL, "?endpoint=/slice")
 	if page.Count != 2 {
 		t.Fatalf("count = %d, want 2", page.Count)
 	}
 	hit := page.Requests[1]
-	if hit.Cache != "hit" || !hit.ResponseHit {
-		t.Errorf("second request cache tier = %q response_hit = %v, want a response hit", hit.Cache, hit.ResponseHit)
+	if hit.Cache != "result" || s.cache.Stats().ResponseHits != 1 {
+		t.Errorf("second request cache tier = %q with %d response hits, want result and 1", hit.Cache, s.cache.Stats().ResponseHits)
 	}
 	if hit.Stmts != ev.Stmts || hit.SliceLines != ev.SliceLines || len(hit.Phases) != 0 {
-		t.Errorf("response hit annotations: stmts=%d slice=%d phases=%v, want %d, %d, none",
+		t.Errorf("stored reply annotations: stmts=%d slice=%d phases=%v, want %d, %d, none",
 			hit.Stmts, hit.SliceLines, hit.Phases, ev.Stmts, ev.SliceLines)
-	}
-	instant := false
-	for _, e := range s.fr.RequestEvents(hit.Req) {
-		instant = instant || (e.Kind == obs.KindInstant && e.Name == "cache.response")
-	}
-	if !instant {
-		t.Error("response hit emitted no cache.response trace instant")
 	}
 }
 
@@ -189,7 +177,7 @@ func TestRequestsFilters(t *testing.T) {
 	if page := getRequests(t, ts.URL, "?endpoint=/slice"); page.Count != 2 {
 		t.Errorf("endpoint filter: %+v", page)
 	}
-	if page := getRequests(t, ts.URL, "?endpoint=/slice&n=1"); page.Count != 1 || page.Requests[0].Cache != "hit" {
+	if page := getRequests(t, ts.URL, "?endpoint=/slice&n=1"); page.Count != 1 || page.Requests[0].Cache != "result" {
 		t.Errorf("n filter must keep the newest: %+v", page)
 	}
 	// min_ms=0 admits everything; an absurd threshold admits nothing.

@@ -276,18 +276,13 @@ func render(w io.Writer, cur, prev *sample, base string) error {
 		fmt.Fprintln(w)
 	}
 
-	// Result/disk tiers (present with -peers or -disk-dir).
-	if puts := cur.get("jumpslice_result_puts_total"); puts > 0 || cur.get("jumpslice_disk_entries") > 0 {
-		fmt.Fprintf(w, "results: %s in %d entries memory",
-			humanBytes(cur.get("jumpslice_result_resident_bytes")),
-			int64(cur.get("jumpslice_result_entries")))
-		if segs := cur.get("jumpslice_disk_segments"); segs > 0 {
-			fmt.Fprintf(w, ", disk %s in %d entries over %d segments (%d warm hits)",
-				humanBytes(cur.get("jumpslice_disk_resident_bytes")),
-				int64(cur.get("jumpslice_disk_entries")), int64(segs),
-				int64(cur.get("jumpslice_disk_hits_total")))
-		}
-		fmt.Fprintln(w)
+	// Disk store of stored replies (present with -disk-dir); the
+	// replies held in memory are part of the cache row above.
+	if segs := cur.get("jumpslice_disk_segments"); segs > 0 {
+		fmt.Fprintf(w, "disk: %s in %d entries over %d segments (%d warm hits)\n",
+			humanBytes(cur.get("jumpslice_disk_resident_bytes")),
+			int64(cur.get("jumpslice_disk_entries")), int64(segs),
+			int64(cur.get("jumpslice_disk_hits_total")))
 	}
 
 	// Pipeline totals.

@@ -92,12 +92,6 @@ jumpslice_cluster_fills_total 8
 jumpslice_cluster_fill_hits_total 5
 # TYPE jumpslice_cluster_fill_corrupt_total counter
 jumpslice_cluster_fill_corrupt_total 1
-# TYPE jumpslice_result_puts_total counter
-jumpslice_result_puts_total 12
-# TYPE jumpslice_result_resident_bytes gauge
-jumpslice_result_resident_bytes 2048
-# TYPE jumpslice_result_entries gauge
-jumpslice_result_entries 4
 # TYPE jumpslice_disk_segments gauge
 jumpslice_disk_segments 2
 # TYPE jumpslice_disk_entries gauge
@@ -160,7 +154,7 @@ func TestOnceSnapshot(t *testing.T) {
 		"avg pause 100µs", // 400000/4 ns
 		"spool: 3 segments, 5.0MiB resident, 54 written, 1 dropped",
 		"cluster: 1/2 peers up, 25 local / 10 proxied / 5 peer-filled, fills 62.5% hit, 1 CORRUPT",
-		"results: 2.0KiB in 4 entries memory, disk 4.0KiB in 9 entries over 2 segments (3 warm hits)",
+		"disk: 4.0KiB in 9 entries over 2 segments (3 warm hits)",
 		"slices: 42 total",
 	} {
 		if !strings.Contains(got, want) {

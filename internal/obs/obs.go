@@ -389,12 +389,12 @@ func (r *Registry) Snapshot() *Snapshot {
 // the second request arrived during or after the first's build — pure
 // scheduling. The fold keeps the deterministic total. Finally it
 // drops every instrument under the "runtime.", "http.", "spool.",
-// "cluster.", "disk." and "result." prefixes entirely — runtime-health
-// samples (goroutine counts, heap sizes, GC pause counts),
-// request-serving telemetry, the durable spool's rotation/drop
-// accounting, and the cluster/disk/result-cache tiers depend on the
-// machine, the scheduler, disk speed, peer timing, and the sampling
-// clock, so even their observation counts are nondeterministic. Two runs of the same
+// "cluster." and "disk." prefixes entirely — runtime-health samples
+// (goroutine counts, heap sizes, GC pause counts), request-serving
+// telemetry, the durable spool's rotation/drop accounting, and the
+// cluster and disk tiers depend on the machine, the scheduler, disk
+// speed, peer timing, and the sampling clock, so even their
+// observation counts are nondeterministic. Two runs of the same
 // deterministic workload produce byte-identical scrubbed snapshots at
 // any parallelism; cmd/slicebench's determinism test relies on this.
 func (s *Snapshot) Scrub() *Snapshot {
@@ -449,6 +449,5 @@ func scrubbedName(name string) bool {
 		strings.HasPrefix(name, "http.") ||
 		strings.HasPrefix(name, "spool.") ||
 		strings.HasPrefix(name, "cluster.") ||
-		strings.HasPrefix(name, "disk.") ||
-		strings.HasPrefix(name, "result.")
+		strings.HasPrefix(name, "disk.")
 }

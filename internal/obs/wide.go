@@ -99,15 +99,15 @@ type WideEvent struct {
 	Algo       string `json:"algo,omitempty"`
 	Stmts      int    `json:"stmts,omitempty"`
 	SliceLines int    `json:"slice_lines,omitempty"`
-	// Cache is the cache tier that answered ("hit", "miss",
-	// "coalesced", and in cluster mode "result", "disk", "peer-fill");
-	// Incremental the session reuse tier ("patched", "partial",
-	// "full").
+	// Cache is the cache tier that answered: "result" (a stored reply,
+	// from memory: no slice, render or encode ran), "disk" and
+	// "peer-fill" (a stored reply read back from the disk store or
+	// fetched off a peer), or "hit", "coalesced", "miss" (the analysis
+	// was reused, shared with a concurrent request, or built; the
+	// slice was computed). Incremental is the session reuse tier
+	// ("patched", "partial", "full").
 	Cache       string `json:"cache,omitempty"`
 	Incremental string `json:"incremental,omitempty"`
-	// ResponseHit marks a cache hit answered from the response bytes
-	// memoized on the cached analysis: no slice, render or encode ran.
-	ResponseHit bool `json:"response_hit,omitempty"`
 	// Route says how cluster routing placed the request: "local"
 	// (served by this node), "proxied" (forwarded to the ring owner),
 	// or "peer-fill" (served locally from a record fetched off a

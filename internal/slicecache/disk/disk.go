@@ -1,4 +1,4 @@
-// Package disk is the spill tier under the in-memory result cache: an
+// Package disk is the store under slicecache's in-memory records: an
 // append-only segment store that survives restarts, so a redeployed
 // node answers its hot keys from disk instead of recomputing every
 // slice from scratch (a warm restart).
@@ -290,9 +290,9 @@ func (s *Store) roll() error {
 	return nil
 }
 
-// Put appends a record for key. Re-putting a present key is a no-op —
-// the demotion path calls Put unconditionally on every memory
-// eviction, and most victims were already written through.
+// Put appends a record for key. Re-putting a present key is a no-op:
+// keys are content addresses, so a present key already holds these
+// bytes.
 func (s *Store) Put(key Key, data []byte) error {
 	if len(data) == 0 {
 		return errors.New("disk: empty record")
@@ -353,17 +353,34 @@ func (s *Store) Get(key Key) ([]byte, bool) {
 		err = errors.New("crc mismatch")
 	}
 	if err != nil {
-		delete(s.index, key)
-		s.stats.Corrupt++
+		s.dropLocked(key)
 		s.stats.Misses++
-		s.m.corrupt.Add(1)
 		s.m.misses.Add(1)
-		s.m.entries.Add(-1)
 		return nil, false
 	}
 	s.stats.Hits++
 	s.m.hits.Add(1)
 	return data, true
+}
+
+// Drop forgets key's record and counts it corrupt: its payload passed
+// the CRC but the caller found it unusable. The next Put for key
+// appends a fresh record.
+func (s *Store) Drop(key Key) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.index[key]; ok {
+		s.dropLocked(key)
+	}
+}
+
+// dropLocked removes an indexed key and counts its record corrupt.
+// Caller holds s.mu.
+func (s *Store) dropLocked(key Key) {
+	delete(s.index, key)
+	s.stats.Corrupt++
+	s.m.corrupt.Add(1)
+	s.m.entries.Add(-1)
 }
 
 // readLocked fetches one payload. The active segment reads through a

@@ -57,21 +57,17 @@ func (sh *shard) verifyLocked(i int) error {
 // ShardCount is exported for tests that reason about per-shard budgets.
 func (c *Cache) ShardCount() int { return len(c.shards) }
 
-// ResponseOverhead is the fixed charge PutResponse adds per response.
-const ResponseOverhead = responseOverhead
+// EntryOverhead is the fixed charge per resident entry: a record
+// costs the length of its body plus this.
+const EntryOverhead = entryOverhead
 
-// ResponseKeys returns the keys of the responses memoized on the
-// resident entry for source.
-func (c *Cache) ResponseKeys(source string) []ResponseKey {
-	key := KeyOf(source)
+// HasRecord reports whether a record under k is resident in memory,
+// without touching LRU order or stats.
+func (c *Cache) HasRecord(k ResultKey) bool {
+	key := Key(k)
 	sh := c.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var ks []ResponseKey
-	if e := sh.entries[key]; e != nil {
-		for rk := range e.resp {
-			ks = append(ks, rk)
-		}
-	}
-	return ks
+	e := sh.entries[key]
+	return e != nil && e.rec != nil
 }

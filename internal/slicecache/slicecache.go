@@ -22,13 +22,13 @@
 //     canceled waiter detaches without killing the shared computation,
 //     and the computation itself is canceled only when every waiter
 //     has detached.
-//   - Each positive entry also memoizes rendered responses, keyed by
-//     criterion and algorithm (PutResponse, GetResponse). A response is
-//     a pure function of the program and the criterion, so a repeat
-//     request is answered from bytes stored on the analysis it came
-//     from. Memoized bytes are charged to the entry's cost, so the one
-//     byte budget covers them and evicting an analysis drops its
-//     responses.
+//   - The same LRU keeps records: finished replies, as opaque bytes,
+//     under a ResultKey naming the program and the request (PutRecord,
+//     GetRecord). A reply is a pure function of its key, so a record
+//     is valid in every process, and with Options.Disk set every
+//     record is written through to a disk store that a memory miss
+//     reads back. Records and analyses share the one byte budget and
+//     ledger.
 //   - Negative entries cache build errors (parse failures, size-limit
 //     rejections) under a short TTL, so a flood of the same malformed
 //     input is answered from memory instead of re-parsed. Context
@@ -48,12 +48,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"strings"
 	"sync"
 	"time"
 
 	"jumpslice/internal/core"
 	"jumpslice/internal/obs"
+	"jumpslice/internal/slicecache/disk"
 )
 
 // keyVersion names the analysis pipeline whose results are cached. It
@@ -79,23 +79,6 @@ func KeyOf(source string) Key {
 // Hex renders the key as lowercase hex, the form ETags and debug
 // endpoints expose.
 func (k Key) Hex() string { return hex.EncodeToString(k[:]) }
-
-// ResponseKey names one rendered response memoized on an entry: the
-// criterion and the algorithm that produced it.
-type ResponseKey struct {
-	Var  string
-	Line int
-	Algo string
-}
-
-// Response is one memoized rendering. Body is opaque to the cache;
-// SliceLines and Stmts are the counts the caller records for the
-// request it answers.
-type Response struct {
-	Body       []byte
-	SliceLines int
-	Stmts      int
-}
 
 // Outcome classifies how one Get was answered.
 type Outcome int
@@ -136,6 +119,10 @@ type Options struct {
 	// cache.response_hits, cache.evictions, cache.neg_hits,
 	// cache.resident_bytes, cache.entries).
 	Recorder obs.Recorder
+	// Disk, when non-nil, keeps a copy of every record PutRecord
+	// stores, so records outlive eviction and restarts; GetRecord
+	// reads it on a memory miss.
+	Disk *disk.Store
 	// Now overrides the clock (negative-TTL tests); nil means
 	// time.Now.
 	Now func() time.Time
@@ -150,18 +137,14 @@ const (
 
 // entryOverhead charges the map slot, LRU links and key storage per
 // resident entry; negative entries additionally keep their error
-// string.
+// string, records their body.
 const entryOverhead = 256
 
-// responseOverhead charges a memoized response's map slot, key and
-// Response header; the body and the key's strings are charged by
-// length.
-const responseOverhead = 96
-
 // Stats is a point-in-time account of the cache. Bytes and Entries
-// are exact: Bytes always equals the summed cost of resident entries.
+// are exact: Bytes always equals the summed cost of resident entries,
+// analyses and records alike.
 //
-// ResponseHits counts the Hits that also found a memoized response.
+// ResponseHits counts the Hits answered from a record in memory.
 type Stats struct {
 	Hits         int64 `json:"hits"`
 	ResponseHits int64 `json:"response_hits"`
@@ -181,6 +164,7 @@ type Cache struct {
 	mask   uint64
 	negTTL time.Duration
 	now    func() time.Time
+	disk   *disk.Store
 
 	mu    sync.Mutex // guards the aggregate stats below
 	stats Stats
@@ -208,15 +192,15 @@ func (m *cacheMetrics) resolve(rec obs.Recorder) {
 	m.entries = rec.Gauge("cache.entries")
 }
 
-// entry is one resident cache line: a detached analysis (positive) or
-// a build error with an expiry (negative). Entries form a per-shard
-// intrusive LRU list, most recent at head. resp holds the positive
-// entry's memoized responses; their bytes are part of cost.
+// entry is one resident cache line: a detached analysis (positive), a
+// build error with an expiry (negative), or a record. Entries form a
+// per-shard intrusive LRU list, most recent at head. Analysis and
+// record keys hash different version tags, so they never collide.
 type entry struct {
 	key  Key
 	a    *core.Analysis
 	err  error
-	resp map[ResponseKey]*Response
+	rec  *Record
 	cost int64
 	exp  time.Time // zero for positive entries
 	prev *entry
@@ -267,6 +251,7 @@ func New(opts Options) *Cache {
 		mask:   uint64(shards - 1),
 		negTTL: opts.NegTTL,
 		now:    opts.Now,
+		disk:   opts.Disk,
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -303,17 +288,13 @@ func (c *Cache) shardOf(k Key) *shard {
 // request. A non-context build error is returned to every waiter and
 // cached negatively for the configured TTL.
 func (c *Cache) Get(ctx context.Context, source string, build func(context.Context) (*core.Analysis, error)) (*core.Analysis, Outcome, error) {
-	a, _, out, err := c.GetResponse(ctx, source, nil, build)
-	return a, out, err
+	return c.GetAt(ctx, KeyOf(source), len(source), build)
 }
 
-// GetResponse is Get that, for a non-nil rk, also returns the
-// response memoized under *rk on the entry that answered, read in the
-// same critical section as the lookup. The response is nil unless the
-// outcome is a Hit and PutResponse stored one; a hit that finds one
-// counts cache.response_hits as well as cache.hits.
-func (c *Cache) GetResponse(ctx context.Context, source string, rk *ResponseKey, build func(context.Context) (*core.Analysis, error)) (*core.Analysis, *Response, Outcome, error) {
-	key := KeyOf(source)
+// GetAt is Get for a caller that already holds the source's key,
+// KeyOf(source); srcLen is the source's length, charged to a new
+// entry.
+func (c *Cache) GetAt(ctx context.Context, key Key, srcLen int, build func(context.Context) (*core.Analysis, error)) (*core.Analysis, Outcome, error) {
 	sh := c.shardOf(key)
 
 	sh.mu.Lock()
@@ -323,28 +304,23 @@ func (c *Cache) GetResponse(ctx context.Context, source string, rk *ResponseKey,
 		} else {
 			sh.touchLocked(e)
 			a, err := e.a, e.err
-			var resp *Response
-			if rk != nil {
-				resp = e.resp[*rk]
-			}
 			sh.mu.Unlock()
 			if err != nil {
 				c.count(&c.stats.NegHits, c.m.negHits)
-				return nil, nil, Hit, err
+				return nil, Hit, err
 			}
 			c.count(&c.stats.Hits, c.m.hits)
-			if resp != nil {
-				c.count(&c.stats.ResponseHits, c.m.responseHits)
-			}
-			return a, resp, Hit, nil
+			return a, Hit, nil
 		}
 	}
-	if f := sh.flights[key]; f != nil {
+	// A flight with no waiters left was abandoned and its build
+	// canceled; joining it would inherit that cancellation, so a new
+	// caller leads a fresh flight instead.
+	if f := sh.flights[key]; f != nil && f.waiters > 0 {
 		f.waiters++
 		sh.mu.Unlock()
 		c.count(&c.stats.Coalesced, c.m.coalesced)
-		a, out, err := c.wait(ctx, sh, f, Coalesced)
-		return a, nil, out, err
+		return c.wait(ctx, sh, f, Coalesced)
 	}
 	// Miss: this caller leads. The build runs under its own cancelable
 	// context rooted in Background, so the leader's own cancellation
@@ -354,41 +330,8 @@ func (c *Cache) GetResponse(ctx context.Context, source string, rk *ResponseKey,
 	sh.flights[key] = f
 	sh.mu.Unlock()
 	c.count(&c.stats.Misses, c.m.misses)
-	go c.run(bctx, sh, key, f, int64(len(source)), build)
-	a, out, err := c.wait(ctx, sh, f, Miss)
-	return a, nil, out, err
-}
-
-// PutResponse memoizes resp under rk on the positive entry for
-// source, charging its bytes to the entry under the shard lock and
-// evicting from the LRU tail if the shard is then over budget. It is
-// a no-op when no positive entry is resident (the analysis was
-// evicted since the caller's Get) or a response is already stored
-// under rk.
-// Any entry under source's key analyzes that same source, so the
-// response fits whichever entry is resident now. The stored key holds
-// copies of rk's strings, so it never keeps alive the memory they
-// came from (a request line, say) beyond the bytes charged for it.
-// resp must not be modified afterwards.
-func (c *Cache) PutResponse(source string, rk ResponseKey, resp *Response) {
-	key := KeyOf(source)
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.entries[key]
-	if e == nil || e.err != nil || e.resp[rk] != nil {
-		return
-	}
-	if e.resp == nil {
-		e.resp = map[ResponseKey]*Response{}
-	}
-	rk.Var, rk.Algo = strings.Clone(rk.Var), strings.Clone(rk.Algo)
-	e.resp[rk] = resp
-	cost := int64(len(resp.Body)+len(rk.Var)+len(rk.Algo)) + responseOverhead
-	e.cost += cost
-	sh.bytes += cost
-	c.m.bytes.Add(cost)
-	c.shrinkLocked(sh)
+	go c.run(bctx, sh, key, f, int64(srcLen), build)
+	return c.wait(ctx, sh, f, Miss)
 }
 
 // run executes one flight's build and publishes the result: into the
@@ -401,7 +344,9 @@ func (c *Cache) run(bctx context.Context, sh *shard, key Key, f *flight, srcLen 
 	f.a, f.err = a, err
 
 	sh.mu.Lock()
-	delete(sh.flights, key)
+	if sh.flights[key] == f {
+		delete(sh.flights, key)
+	}
 	switch {
 	case err == nil:
 		c.insertLocked(sh, &entry{key: key, a: a, cost: srcLen + a.Footprint() + entryOverhead})
