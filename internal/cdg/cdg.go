@@ -17,8 +17,6 @@
 package cdg
 
 import (
-	"sort"
-
 	"jumpslice/internal/cfg"
 	"jumpslice/internal/dom"
 )
@@ -50,20 +48,10 @@ func Build(g *cfg.Graph, pdt *dom.Tree) *Graph {
 		children: make([][]int, len(g.Nodes)),
 	}
 
-	type key struct {
-		node int
-		dep  Dep
-	}
-	seen := map[key]bool{}
-	add := func(node int, d Dep) {
-		k := key{node, d}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		cd.parents[node] = append(cd.parents[node], d)
-	}
-
+	// Nodes are visited in ID order, so a's dependences land at the
+	// end of every row they reach: the trailing From == a run is the
+	// only place a duplicate can sit, and addDep keeps it sorted by
+	// label.
 	for _, a := range g.Nodes {
 		for _, e := range a.Out {
 			s := e.To
@@ -83,7 +71,7 @@ func Build(g *cfg.Graph, pdt *dom.Tree) *Graph {
 			// this branch.
 			stop := pdt.Idom[a.ID]
 			for v := s; v != stop; v = pdt.Idom[v] {
-				add(v, Dep{From: a.ID, Label: e.Label})
+				cd.parents[v] = addDep(cd.parents[v], Dep{From: a.ID, Label: e.Label})
 				if v == pdt.Root {
 					break
 				}
@@ -91,27 +79,32 @@ func Build(g *cfg.Graph, pdt *dom.Tree) *Graph {
 		}
 	}
 
-	childSeen := map[[2]int]bool{}
-	for n := range cd.parents {
-		sort.Slice(cd.parents[n], func(i, j int) bool {
-			a, b := cd.parents[n][i], cd.parents[n][j]
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			return a.Label < b.Label
-		})
-		for _, d := range cd.parents[n] {
-			k := [2]int{d.From, n}
-			if !childSeen[k] {
-				childSeen[k] = true
+	// Rows are visited in ID order, so each children list comes out
+	// sorted; a row lists a parent's labels next to each other, so it
+	// adds itself once per parent.
+	for n, row := range cd.parents {
+		for i, d := range row {
+			if i == 0 || row[i-1].From != d.From {
 				cd.children[d.From] = append(cd.children[d.From], n)
 			}
 		}
 	}
-	for a := range cd.children {
-		sort.Ints(cd.children[a])
-	}
 	return cd
+}
+
+// addDep adds d to a row whose trailing run of d.From dependences is
+// sorted by label, keeping it sorted and free of duplicates.
+func addDep(row []Dep, d Dep) []Dep {
+	i := len(row)
+	for ; i > 0 && row[i-1].From == d.From && row[i-1].Label >= d.Label; i-- {
+		if row[i-1].Label == d.Label {
+			return row
+		}
+	}
+	row = append(row, Dep{})
+	copy(row[i+1:], row[i:])
+	row[i] = d
+	return row
 }
 
 // Parents returns the direct control dependences of node n, sorted.

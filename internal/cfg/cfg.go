@@ -257,11 +257,11 @@ func (g *Graph) NodesAtLine(line int) []*Node {
 	return out
 }
 
-// Reachable returns the set of node IDs reachable from Entry.
-func (g *Graph) Reachable() map[int]bool {
-	seen := map[int]bool{}
-	var stack []int
-	stack = append(stack, g.Entry.ID)
+// Reachable reports, per node ID, whether the node is reachable from
+// Entry.
+func (g *Graph) Reachable() []bool {
+	seen := make([]bool, len(g.Nodes))
+	stack := []int{g.Entry.ID}
 	seen[g.Entry.ID] = true
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]

@@ -293,10 +293,7 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Rec
 		return nil, err
 	}
 	end = phase("phase.analyze.worklists")
-	a.live = make([]bool, len(g.Nodes))
-	for id := range g.Reachable() {
-		a.live[id] = true
-	}
+	a.live = g.Reachable()
 	a.jumpsPDT = a.filterLiveJumps(a.PDT.Preorder())
 	a.jumpsLST = a.filterLiveJumps(a.LST.Preorder())
 	for _, n := range g.Nodes {

@@ -15,8 +15,9 @@ package core
 //     precomputed worklists), plus the retained AST statement;
 //   - per-edge cost: the PDG adjacency lists (data + merged deps) and
 //     their CDG/CFG counterparts;
-//   - the reaching-definitions bitsets: 2 sets (In/Out) per node, one
-//     word per 64 definition sites, plus the definition index.
+//   - the reaching-definitions In matrix, the one per-node bit-set
+//     structure Reach leaves resident: a row per node, one word per 64
+//     definition sites, plus the definition index.
 //
 // The lazily-built batch condensation and its memoized component
 // closures are intentionally excluded: they are not present on the
@@ -39,5 +40,5 @@ func (a *Analysis) Footprint() int64 {
 		perDef  = 64  // dataflow.Def index entry
 		fixed   = 512 // struct headers of the Analysis and its graphs
 	)
-	return fixed + n*perNode + edges*perEdge + defs*perDef + 2*n*words*8
+	return fixed + n*perNode + edges*perEdge + defs*perDef + n*words*8
 }

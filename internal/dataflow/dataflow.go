@@ -19,8 +19,7 @@
 package dataflow
 
 import (
-	"slices"
-	"sort"
+	mbits "math/bits"
 
 	"jumpslice/internal/bits"
 	"jumpslice/internal/cfg"
@@ -42,55 +41,66 @@ const InputVar = "$input"
 // ReachingDefs is the result of reaching-definitions analysis.
 type ReachingDefs struct {
 	g *cfg.Graph
-	// Defs indexes all definition sites; bit i in the sets below
-	// refers to Defs[i].
+	// Defs indexes all definition sites in node order; bit i of a
+	// definition row refers to Defs[i].
 	Defs []Def
-	// In[n] is the set of definitions reaching the entry of node n.
-	In []*bits.Set
-	// Out[n] is the set of definitions leaving node n.
-	Out []*bits.Set
 
-	defsOf map[string][]int // variable -> def indices
-	defAt  map[int][]int    // node ID -> def indices (a read defines two)
+	// Definition sets are rows of stride words in flat matrices. in
+	// holds one row per node: the definitions reaching its entry.
+	// varMask holds one row per variable: all of its definitions, in
+	// the variable numbering of varIdx.
+	in      []uint64
+	varMask []uint64
+	stride  int
+	varIdx  map[string]int
 }
 
 // Reach computes reaching definitions for the graph with the standard
 // forward worklist iteration: out(n) = gen(n) ∪ (in(n) − kill(n)),
-// in(n) = ∪ out(p) over predecessors p.
+// in(n) = ∪ out(p) over predecessors p. Every set is a row of a flat
+// word matrix; of the node matrices only In outlives the call.
 func Reach(g *cfg.Graph) *ReachingDefs {
-	r := &ReachingDefs{
-		g:      g,
-		defsOf: map[string][]int{},
-		defAt:  map[int][]int{},
-	}
-	for _, n := range g.Nodes {
+	nn := len(g.Nodes)
+	r := &ReachingDefs{g: g, varIdx: map[string]int{}}
+	// defVar[di] is the variable number of definition di; node i
+	// defines Defs[firstDef[i]:firstDef[i+1]].
+	var defVar []int
+	firstDef := make([]int, nn+1)
+	for i, n := range g.Nodes {
+		firstDef[i] = len(r.Defs)
 		for _, v := range defsOf(n) {
-			idx := len(r.Defs)
+			vi, ok := r.varIdx[v]
+			if !ok {
+				vi = len(r.varIdx)
+				r.varIdx[v] = vi
+			}
 			r.Defs = append(r.Defs, Def{Node: n.ID, Var: v})
-			r.defsOf[v] = append(r.defsOf[v], idx)
-			r.defAt[n.ID] = append(r.defAt[n.ID], idx)
+			defVar = append(defVar, vi)
 		}
 	}
+	firstDef[nn] = len(r.Defs)
 
-	nd := len(r.Defs)
-	nn := len(g.Nodes)
-	gen := make([]*bits.Set, nn)
-	kill := make([]*bits.Set, nn)
-	r.In = make([]*bits.Set, nn)
-	r.Out = make([]*bits.Set, nn)
-	for i := 0; i < nn; i++ {
-		gen[i] = bits.New(nd)
-		kill[i] = bits.New(nd)
-		r.In[i] = bits.New(nd)
-		r.Out[i] = bits.New(nd)
+	stride := (len(r.Defs) + 63) / 64
+	r.stride = stride
+	r.varMask = make([]uint64, len(r.varIdx)*stride)
+	for di, vi := range defVar {
+		r.varMask[vi*stride+di/64] |= 1 << (di % 64)
 	}
-	for i, n := range g.Nodes {
-		for _, di := range r.defAt[n.ID] {
-			gen[i].Add(di)
-			for _, other := range r.defsOf[r.Defs[di].Var] {
-				if other != di {
-					kill[i].Add(other)
-				}
+	// A node kills every definition of the variables it defines. Its
+	// own definitions are among them, but gen adds them back, so
+	// out(n) is the textbook one.
+	size := nn * stride
+	r.in = make([]uint64, size)
+	// out, gen and kill share one transient allocation; r.in is its
+	// own so that it alone stays resident.
+	work := make([]uint64, 3*size)
+	out, gen, kill := work[:size], work[size:2*size], work[2*size:]
+	for i := 0; i < nn; i++ {
+		row := i * stride
+		for di := firstDef[i]; di < firstDef[i+1]; di++ {
+			gen[row+di/64] |= 1 << (di % 64)
+			for w, m := range r.mask(defVar[di]) {
+				kill[row+w] |= m
 			}
 		}
 	}
@@ -101,27 +111,52 @@ func Reach(g *cfg.Graph) *ReachingDefs {
 	// they must not reach anything (e.g. an assignment after an
 	// unconditional goto).
 	reachable := g.Reachable()
-	tmp := bits.New(nd)
 	for changed := true; changed; {
 		changed = false
 		for i, n := range g.Nodes {
 			if !reachable[n.ID] {
 				continue
 			}
-			r.In[i].Clear()
+			row := i * stride
+			in := r.in[row : row+stride]
+			clear(in)
 			for _, p := range n.In {
-				r.In[i].UnionWith(r.Out[p])
+				for w, x := range out[p*stride : p*stride+stride] {
+					in[w] |= x
+				}
 			}
-			tmp.Copy(r.In[i])
-			tmp.DifferenceWith(kill[i])
-			tmp.UnionWith(gen[i])
-			if !tmp.Equal(r.Out[i]) {
-				r.Out[i].Copy(tmp)
-				changed = true
+			for w, x := range in {
+				if o := gen[row+w] | x&^kill[row+w]; o != out[row+w] {
+					out[row+w] = o
+					changed = true
+				}
 			}
 		}
 	}
 	return r
+}
+
+// inRow returns the definitions reaching the entry of node n.
+func (r *ReachingDefs) inRow(n int) []uint64 { return r.in[n*r.stride : (n+1)*r.stride] }
+
+// mask returns every definition of variable number vi.
+func (r *ReachingDefs) mask(vi int) []uint64 {
+	return r.varMask[vi*r.stride : (vi+1)*r.stride]
+}
+
+// appendDefNodes appends the nodes of the definitions in a ∩ b, once
+// each, in definition order, which is ascending node order.
+func (r *ReachingDefs) appendDefNodes(dst []int, a, b []uint64) []int {
+	last := -1
+	for w, x := range a {
+		for x &= b[w]; x != 0; x &= x - 1 {
+			if node := r.Defs[w*64+mbits.TrailingZeros64(x)].Node; node != last {
+				dst = append(dst, node)
+				last = node
+			}
+		}
+	}
+	return dst
 }
 
 // DefsOf returns the variables a CFG node defines (including the
@@ -213,23 +248,35 @@ func callsEOF(s lang.Stmt) bool {
 // ReachingDefsOf returns the definition sites of variable v that reach
 // the entry of node n, as node IDs in ascending order.
 func (r *ReachingDefs) ReachingDefsOf(n int, v string) []int {
-	var out []int
-	for _, di := range r.defsOf[v] {
-		if r.In[n].Has(di) {
-			out = append(out, r.Defs[di].Node)
-		}
+	vi, ok := r.varIdx[v]
+	if !ok {
+		return nil
 	}
-	sort.Ints(out)
-	return out
+	return r.appendDefNodes(nil, r.inRow(n), r.mask(vi))
 }
 
 // DataDeps returns, for each node ID, the sorted set of node IDs it is
 // directly data (flow) dependent on: the reaching definitions of each
-// variable the node uses.
+// variable the node uses. All rows share one backing array; each row
+// is capped at its own length.
 func (r *ReachingDefs) DataDeps() [][]int {
 	out := make([][]int, len(r.g.Nodes))
+	buf := make([]int, 0, 2*len(r.g.Nodes))
+	used := make([]uint64, r.stride)
 	for _, n := range r.g.Nodes {
-		out[n.ID] = r.DataDepsOf(n)
+		start := len(buf)
+		buf = r.appendDataDeps(buf, n, used)
+		// Only the row's length is kept here: buf may still move.
+		out[n.ID] = buf[start:]
+	}
+	off := 0
+	for id, row := range out {
+		if k := len(row); k > 0 {
+			out[id] = buf[off : off+k : off+k]
+			off += k
+		} else {
+			out[id] = nil
+		}
 	}
 	return out
 }
@@ -241,26 +288,28 @@ func (r *ReachingDefs) DataDeps() [][]int {
 // recomputes the dependence row of an edited statement against an
 // unchanged reaching-definitions result.
 func (r *ReachingDefs) DataDepsOf(n *cfg.Node) []int {
-	var deps []int
-	in := r.In[n.ID]
+	return r.appendDataDeps(nil, n, make([]uint64, r.stride))
+}
+
+// appendDataDeps appends n's sorted, de-duplicated data dependences to
+// dst: the nodes of the reaching definitions of every variable n
+// uses. used is a stride-word scratch row.
+func (r *ReachingDefs) appendDataDeps(dst []int, n *cfg.Node, used []uint64) []int {
+	clear(used)
 	for _, v := range usesOf(n) {
-		for _, di := range r.defsOf[v] {
-			if in.Has(di) {
-				deps = append(deps, r.Defs[di].Node)
+		if vi, ok := r.varIdx[v]; ok {
+			for w, m := range r.mask(vi) {
+				used[w] |= m
 			}
 		}
 	}
-	if len(deps) == 0 {
-		return nil
-	}
-	slices.Sort(deps)
-	return slices.Compact(deps)
+	return r.appendDefNodes(dst, r.inRow(n.ID), used)
 }
 
 // WithGraph returns a view of the same reaching-definitions result
 // bound to a different flowgraph, which must be shape-identical to
 // the analyzed one (same node IDs, kinds, and definition sites). The
-// In/Out sets and definition index are shared — they are immutable
+// In matrix and definition index are shared — they are immutable
 // after Reach — so the view is free; it exists so a reused dataflow
 // result answers queries about nodes of a freshly rebuilt graph.
 func (r *ReachingDefs) WithGraph(g *cfg.Graph) *ReachingDefs {

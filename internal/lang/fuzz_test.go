@@ -31,6 +31,8 @@ func FuzzParse(f *testing.F) {
 		strings.Repeat("{", 64) + strings.Repeat("}", 64),
 		"if (1) if (1) if (1) x = 1; else y = 2;",
 		"x = 9999999999999999999999999999;",
+		"x = 9223372036854775807; y = -9223372036854775808;",
+		"switch (x) { case 0: y = 1; case 18446744073709551616: y = 2; }",
 		"// comment only",
 		"x = 1 % 0;",
 	} {

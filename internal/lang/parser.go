@@ -1,12 +1,19 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Parser is a recursive-descent parser for the language. Use Parse or
 // MustParse rather than constructing one directly.
 type Parser struct {
-	lx    *Lexer
-	buf   []Token // lookahead buffer
+	lx *Lexer
+	// la holds the next nla unconsumed tokens. The grammar needs at
+	// most two tokens of lookahead (a label is IDENT ':'), so a fixed
+	// array avoids a reallocating buffer.
+	la    [2]Token
+	nla   int
 	err   *SyntaxError
 	prog  *Program
 	depth int // current nesting depth, bounded by maxNestingDepth
@@ -86,17 +93,32 @@ func (p *Parser) errorf(pos Pos, format string, args ...any) {
 
 func (p *Parser) peek() Token { return p.peekN(0) }
 
+// peekN returns the token n places ahead; n is 0 or 1.
 func (p *Parser) peekN(n int) Token {
-	for len(p.buf) <= n {
-		p.buf = append(p.buf, p.lx.Next())
+	for p.nla <= n {
+		p.la[p.nla] = p.lx.Next()
+		p.nla++
 	}
-	return p.buf[n]
+	return p.la[n]
 }
 
 func (p *Parser) next() Token {
 	t := p.peek()
-	p.buf = p.buf[1:]
+	p.la[0] = p.la[1]
+	p.nla--
 	return t
+}
+
+// intLit converts an INT token's digits to its value, reporting a
+// syntax error at the literal when it does not fit in an int64. (A
+// token expect made up after an error has no digits; errorf keeps
+// that first error.)
+func (p *Parser) intLit(t Token) int64 {
+	n, err := strconv.ParseInt(t.Text, 10, 64)
+	if err != nil {
+		p.errorf(t.Pos, "integer literal %s out of range", t.Text)
+	}
+	return n
 }
 
 func (p *Parser) expect(k TokenKind) Token {
@@ -297,10 +319,7 @@ func (p *Parser) parseSwitch() Stmt {
 			p.next()
 			c := &CaseClause{P: tok.Pos}
 			for {
-				v := p.expect(INT)
-				var n int64
-				fmt.Sscanf(v.Text, "%d", &n)
-				c.Values = append(c.Values, n)
+				c.Values = append(c.Values, p.intLit(p.expect(INT)))
 				if p.peek().Kind != Comma {
 					break
 				}
@@ -453,9 +472,7 @@ func (p *Parser) parsePrimary() Expr {
 	switch t.Kind {
 	case INT:
 		p.next()
-		var n int64
-		fmt.Sscanf(t.Text, "%d", &n)
-		return &IntLit{P: t.Pos, Value: n}
+		return &IntLit{P: t.Pos, Value: p.intLit(t)}
 	case IDENT:
 		p.next()
 		if p.peek().Kind == LParen {

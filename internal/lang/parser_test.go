@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -193,6 +194,41 @@ func TestParseErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("Parse(%q): error %q, want substring %q", c.src, err, c.wantSub)
+		}
+	}
+}
+
+// TestParseIntLiteralRange pins the int64 range of integer literals:
+// the largest value parses, and anything larger is a syntax error at
+// the literal. Read as 0, such a literal would print back as 0 and
+// make an out-of-range case value a duplicate of "case 0".
+func TestParseIntLiteralRange(t *testing.T) {
+	p, err := Parse("x = 9223372036854775807;")
+	if err != nil {
+		t.Fatalf("max int64 literal: %v", err)
+	}
+	if got := Format(p, PrintOptions{}); got != "x = 9223372036854775807;\n" {
+		t.Errorf("max int64 literal prints %q", got)
+	}
+	cases := []struct {
+		src string
+		pos Pos
+	}{
+		{"x = 99999999999999999999;", Pos{Line: 1, Col: 5}},
+		{"x = 9223372036854775808;", Pos{Line: 1, Col: 5}},
+		{"x = 1 +\n  -18446744073709551616;", Pos{Line: 2, Col: 4}},
+		{"switch (x) {\ncase 0: ;\ncase 18446744073709551616: ;\n}", Pos{Line: 3, Col: 6}},
+		{"switch (x) { case 1, 99999999999999999999: ; }", Pos{Line: 1, Col: 22}},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Errorf("Parse(%q): error %v, want a *SyntaxError", c.src, err)
+			continue
+		}
+		if se.Pos != c.pos || !strings.Contains(se.Msg, "out of range") {
+			t.Errorf("Parse(%q): error %v, want \"out of range\" at %v", c.src, err, c.pos)
 		}
 	}
 }

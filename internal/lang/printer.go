@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -16,6 +17,9 @@ type PrintOptions struct {
 	Indent string
 }
 
+// printer writes every line straight into one builder: statements and
+// expressions are rendered by writeSimple/writeExpr recursion, never
+// through intermediate strings.
 type printer struct {
 	opts  PrintOptions
 	sb    strings.Builder
@@ -28,10 +32,7 @@ type printer struct {
 // form again even when the input interleaved declarations and
 // statements.
 func Format(p *Program, opts PrintOptions) string {
-	pr := &printer{opts: opts}
-	if pr.opts.Indent == "" {
-		pr.opts.Indent = "    "
-	}
+	pr := newPrinter(opts)
 	for _, d := range p.Procs {
 		pr.proc(d)
 	}
@@ -41,9 +42,33 @@ func Format(p *Program, opts PrintOptions) string {
 	return pr.sb.String()
 }
 
+// FormatStmt pretty-prints a single statement subtree.
+func FormatStmt(s Stmt, opts PrintOptions) string {
+	pr := newPrinter(opts)
+	pr.stmt(s)
+	return pr.sb.String()
+}
+
+func newPrinter(opts PrintOptions) *printer {
+	if opts.Indent == "" {
+		opts.Indent = "    "
+	}
+	return &printer{opts: opts}
+}
+
 // proc prints one procedure declaration with its body indented.
 func (pr *printer) proc(d *ProcDecl) {
-	pr.line(d.P, "proc %s(%s) {", d.Name, strings.Join(d.Params, ", "))
+	sb := pr.begin(d.P)
+	sb.WriteString("proc ")
+	sb.WriteString(d.Name)
+	sb.WriteByte('(')
+	for i, prm := range d.Params {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(prm)
+	}
+	sb.WriteString(") {\n")
 	pr.depth++
 	for _, s := range d.Body {
 		pr.stmt(s)
@@ -52,54 +77,53 @@ func (pr *printer) proc(d *ProcDecl) {
 	pr.line(Pos{}, "}")
 }
 
-// FormatStmt pretty-prints a single statement subtree.
-func FormatStmt(s Stmt, opts PrintOptions) string {
-	pr := &printer{opts: opts}
-	if pr.opts.Indent == "" {
-		pr.opts.Indent = "    "
-	}
-	pr.stmt(s)
-	return pr.sb.String()
-}
-
-func (pr *printer) line(pos Pos, format string, args ...any) {
+// begin starts an output line: the line-number column (when enabled)
+// and the indentation. The caller writes the text and the newline.
+func (pr *printer) begin(pos Pos) *strings.Builder {
+	sb := &pr.sb
 	if pr.opts.LineNumbers {
 		if pos.Line > 0 {
-			fmt.Fprintf(&pr.sb, "%3d: ", pos.Line)
+			var buf [20]byte
+			num := strconv.AppendInt(buf[:0], int64(pos.Line), 10)
+			for i := len(num); i < 3; i++ {
+				sb.WriteByte(' ')
+			}
+			sb.Write(num)
+			sb.WriteString(": ")
 		} else {
-			pr.sb.WriteString("     ")
+			sb.WriteString("     ")
 		}
 	}
-	pr.sb.WriteString(strings.Repeat(pr.opts.Indent, pr.depth))
-	fmt.Fprintf(&pr.sb, format, args...)
-	pr.sb.WriteByte('\n')
+	for i := 0; i < pr.depth; i++ {
+		sb.WriteString(pr.opts.Indent)
+	}
+	return sb
+}
+
+// line writes one whole line of fixed text.
+func (pr *printer) line(pos Pos, text string) {
+	sb := pr.begin(pos)
+	sb.WriteString(text)
+	sb.WriteByte('\n')
+}
+
+// header writes a compound statement's header line, "kw (expr)"
+// followed by open (" {" or nothing).
+func (pr *printer) header(pos Pos, kw string, e Expr, open string) {
+	sb := pr.begin(pos)
+	writeHeader(sb, kw, e)
+	sb.WriteString(open)
+	sb.WriteByte('\n')
 }
 
 func (pr *printer) stmt(s Stmt) {
 	switch s := s.(type) {
 	case nil:
-	case *AssignStmt:
-		pr.line(s.P, "%s = %s;", s.Name, ExprString(s.Value))
-	case *ReadStmt:
-		pr.line(s.P, "read(%s);", s.Name)
-	case *WriteStmt:
-		pr.line(s.P, "write(%s);", ExprString(s.Value))
-	case *GotoStmt:
-		pr.line(s.P, "goto %s;", s.Label)
-	case *BreakStmt:
-		pr.line(s.P, "break;")
-	case *ContinueStmt:
-		pr.line(s.P, "continue;")
-	case *ReturnStmt:
-		if s.Value != nil {
-			pr.line(s.P, "return %s;", ExprString(s.Value))
-		} else {
-			pr.line(s.P, "return;")
-		}
-	case *CallStmt:
-		pr.line(s.P, "%s", simpleStmtString(s))
-	case *EmptyStmt:
-		pr.line(s.P, ";")
+	case *AssignStmt, *ReadStmt, *WriteStmt, *GotoStmt, *BreakStmt,
+		*ContinueStmt, *ReturnStmt, *CallStmt, *EmptyStmt:
+		sb := pr.begin(s.Pos())
+		writeSimple(sb, s)
+		sb.WriteByte('\n')
 	case *LabeledStmt:
 		// The label shares its statement's line in the paper's style
 		// ("8: L8: positives = positives + 1;"), but nested labels and
@@ -108,22 +132,27 @@ func (pr *printer) stmt(s Stmt) {
 		switch inner := Unlabel(s).(type) {
 		case *AssignStmt, *ReadStmt, *WriteStmt, *GotoStmt, *BreakStmt,
 			*ContinueStmt, *ReturnStmt, *CallStmt, *EmptyStmt:
-			pr.line(s.P, "%s%s", labelPrefix(s), simpleStmtString(inner))
+			sb := pr.begin(s.P)
+			writeLabels(sb, s)
+			writeSimple(sb, inner)
+			sb.WriteByte('\n')
 		case *IfStmt:
 			// Inline a labeled conditional jump:
 			// "3: L3: if (eof()) goto L14;".
 			if inner.Else == nil && IsJump(Unlabel(inner.Then)) {
 				if _, wrapped := inner.Then.(*LabeledStmt); !wrapped {
-					pr.line(s.P, "%sif (%s) %s", labelPrefix(s),
-						ExprString(inner.Cond), simpleStmtString(Unlabel(inner.Then)))
+					sb := pr.begin(s.P)
+					writeLabels(sb, s)
+					writeCondJump(sb, inner.Cond, inner.Then)
+					sb.WriteByte('\n')
 					return
 				}
 			}
-			pr.line(s.P, "%s", strings.TrimSuffix(labelPrefix(s), " "))
+			pr.labelLine(s)
 			pr.stmt(inner)
 		default:
-			pr.line(s.P, "%s", strings.TrimSuffix(labelPrefix(s), " "))
-			pr.stmt(Unlabel(s))
+			pr.labelLine(s)
+			pr.stmt(inner)
 		}
 	case *BlockStmt:
 		pr.line(s.P, "{")
@@ -136,34 +165,41 @@ func (pr *printer) stmt(s Stmt) {
 	case *IfStmt:
 		// The conditional-jump idiom prints on one line, matching the
 		// paper's "3: L3: if (eof()) goto L14;" style.
-		if s.Else == nil {
-			if j, ok := s.Then.(Stmt); ok && IsJump(Unlabel(j)) {
-				if _, isLabeled := j.(*LabeledStmt); !isLabeled {
-					pr.line(s.P, "if (%s) %s", ExprString(s.Cond), simpleStmtString(Unlabel(j)))
-					return
-				}
+		if s.Else == nil && s.Then != nil && IsJump(Unlabel(s.Then)) {
+			if _, isLabeled := s.Then.(*LabeledStmt); !isLabeled {
+				sb := pr.begin(s.P)
+				writeCondJump(sb, s.Cond, s.Then)
+				sb.WriteByte('\n')
+				return
 			}
 		}
-		pr.line(s.P, "if (%s)%s", ExprString(s.Cond), braceOpen(s.Then))
+		pr.header(s.P, "if", s.Cond, braceOpen(s.Then))
 		pr.body(s.Then)
 		if s.Else != nil {
-			pr.line(Pos{}, "else%s", braceOpen(s.Else))
+			sb := pr.begin(Pos{})
+			sb.WriteString("else")
+			sb.WriteString(braceOpen(s.Else))
+			sb.WriteByte('\n')
 			pr.body(s.Else)
 		}
 	case *WhileStmt:
-		pr.line(s.P, "while (%s)%s", ExprString(s.Cond), braceOpen(s.Body))
+		pr.header(s.P, "while", s.Cond, braceOpen(s.Body))
 		pr.body(s.Body)
 	case *SwitchStmt:
-		pr.line(s.P, "switch (%s) {", ExprString(s.Tag))
+		pr.header(s.P, "switch", s.Tag, " {")
 		for _, c := range s.Cases {
 			if c.IsDefault {
 				pr.line(c.P, "default:")
 			} else {
-				vals := make([]string, len(c.Values))
+				sb := pr.begin(c.P)
+				sb.WriteString("case ")
 				for i, v := range c.Values {
-					vals[i] = fmt.Sprintf("%d", v)
+					if i > 0 {
+						sb.WriteString(", ")
+					}
+					writeInt(sb, v)
 				}
-				pr.line(c.P, "case %s:", strings.Join(vals, ", "))
+				sb.WriteString(":\n")
 			}
 			pr.depth++
 			for _, st := range c.Body {
@@ -173,8 +209,25 @@ func (pr *printer) stmt(s Stmt) {
 		}
 		pr.line(Pos{}, "}")
 	default:
-		pr.line(s.Pos(), "/* unknown statement %T */", s)
+		pr.line(s.Pos(), fmt.Sprintf("/* unknown statement %T */", s))
 	}
+}
+
+// labelLine writes the labels of a labeled compound statement on a
+// line of their own: "L8:".
+func (pr *printer) labelLine(s *LabeledStmt) {
+	sb := pr.begin(s.P)
+	for l := s; ; {
+		sb.WriteString(l.Label)
+		sb.WriteByte(':')
+		next, ok := l.Stmt.(*LabeledStmt)
+		if !ok {
+			break
+		}
+		sb.WriteByte(' ')
+		l = next
+	}
+	sb.WriteByte('\n')
 }
 
 // body prints the body of an if/while arm: blocks inline their braces,
@@ -201,13 +254,12 @@ func braceOpen(s Stmt) string {
 	return ""
 }
 
-// labelPrefix renders the (possibly nested) labels of s: "L8: ".
-func labelPrefix(s Stmt) string {
-	var sb strings.Builder
+// writeLabels writes the (possibly nested) labels of s: "L8: ".
+func writeLabels(sb *strings.Builder, s Stmt) {
 	for {
 		l, ok := s.(*LabeledStmt)
 		if !ok {
-			return sb.String()
+			return
 		}
 		sb.WriteString(l.Label)
 		sb.WriteString(": ")
@@ -215,56 +267,85 @@ func labelPrefix(s Stmt) string {
 	}
 }
 
-// simpleStmtString renders a simple (non-compound) statement without a
+// writeCondJump writes the one-line conditional jump "if (c) goto L;".
+func writeCondJump(sb *strings.Builder, cond Expr, jump Stmt) {
+	sb.WriteString("if (")
+	writeExpr(sb, cond)
+	sb.WriteString(") ")
+	writeSimple(sb, Unlabel(jump))
+}
+
+// writeSimple writes a simple (non-compound) statement without a
 // trailing newline, for inlining after a label.
-func simpleStmtString(s Stmt) string {
+func writeSimple(sb *strings.Builder, s Stmt) {
 	switch s := s.(type) {
 	case *AssignStmt:
-		return fmt.Sprintf("%s = %s;", s.Name, ExprString(s.Value))
+		sb.WriteString(s.Name)
+		sb.WriteString(" = ")
+		writeExpr(sb, s.Value)
+		sb.WriteByte(';')
 	case *ReadStmt:
-		return fmt.Sprintf("read(%s);", s.Name)
+		sb.WriteString("read(")
+		sb.WriteString(s.Name)
+		sb.WriteString(");")
 	case *WriteStmt:
-		return fmt.Sprintf("write(%s);", ExprString(s.Value))
+		sb.WriteString("write(")
+		writeExpr(sb, s.Value)
+		sb.WriteString(");")
 	case *GotoStmt:
-		return fmt.Sprintf("goto %s;", s.Label)
+		sb.WriteString("goto ")
+		sb.WriteString(s.Label)
+		sb.WriteByte(';')
 	case *BreakStmt:
-		return "break;"
+		sb.WriteString("break;")
 	case *ContinueStmt:
-		return "continue;"
+		sb.WriteString("continue;")
 	case *ReturnStmt:
 		if s.Value != nil {
-			return fmt.Sprintf("return %s;", ExprString(s.Value))
+			sb.WriteString("return ")
+			writeExpr(sb, s.Value)
+			sb.WriteByte(';')
+		} else {
+			sb.WriteString("return;")
 		}
-		return "return;"
 	case *CallStmt:
-		args := make([]string, len(s.Args))
-		for i, a := range s.Args {
-			args[i] = ExprString(a)
-		}
-		return fmt.Sprintf("call %s(%s);", s.Name, strings.Join(args, ", "))
+		sb.WriteString("call ")
+		writeCall(sb, s.Name, s.Args)
+		sb.WriteByte(';')
 	case *EmptyStmt:
-		return ";"
+		sb.WriteByte(';')
+	default:
+		fmt.Fprintf(sb, "/* %T */", s)
 	}
-	return fmt.Sprintf("/* %T */", s)
 }
 
 // StmtString renders a one-line summary of a statement: simple
 // statements in full, compound statements as their header ("if (x <=
 // 0)", "switch (c())"). Used by graph visualizations and diagnostics.
 func StmtString(s Stmt) string {
-	s2 := Unlabel(s)
-	switch s2 := s2.(type) {
+	var sb strings.Builder
+	switch s2 := Unlabel(s).(type) {
 	case *IfStmt:
-		return fmt.Sprintf("if (%s)", ExprString(s2.Cond))
+		writeHeader(&sb, "if", s2.Cond)
 	case *WhileStmt:
-		return fmt.Sprintf("while (%s)", ExprString(s2.Cond))
+		writeHeader(&sb, "while", s2.Cond)
 	case *SwitchStmt:
-		return fmt.Sprintf("switch (%s)", ExprString(s2.Tag))
+		writeHeader(&sb, "switch", s2.Tag)
 	case *BlockStmt:
 		return "{...}"
 	default:
-		return labelPrefix(s) + simpleStmtString(s2)
+		writeLabels(&sb, s)
+		writeSimple(&sb, s2)
 	}
+	return sb.String()
+}
+
+// writeHeader writes a compound statement's summary, "kw (expr)".
+func writeHeader(sb *strings.Builder, kw string, e Expr) {
+	sb.WriteString(kw)
+	sb.WriteString(" (")
+	writeExpr(sb, e)
+	sb.WriteByte(')')
 }
 
 // precedence levels for minimal parenthesization when printing.
@@ -292,36 +373,64 @@ func exprPrec(e Expr) int {
 
 // ExprString renders an expression with minimal parentheses.
 func ExprString(e Expr) string {
+	if id, ok := e.(*Ident); ok {
+		return id.Name
+	}
+	var sb strings.Builder
+	writeExpr(&sb, e)
+	return sb.String()
+}
+
+// writeExpr writes an expression with minimal parentheses.
+func writeExpr(sb *strings.Builder, e Expr) {
 	switch e := e.(type) {
 	case nil:
-		return ""
 	case *IntLit:
-		return fmt.Sprintf("%d", e.Value)
+		writeInt(sb, e.Value)
 	case *Ident:
-		return e.Name
+		sb.WriteString(e.Name)
 	case *CallExpr:
-		args := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = ExprString(a)
-		}
-		return fmt.Sprintf("%s(%s)", e.Name, strings.Join(args, ", "))
+		writeCall(sb, e.Name, e.Args)
 	case *UnaryExpr:
-		x := ExprString(e.X)
-		if exprPrec(e.X) < exprPrec(e) {
-			x = "(" + x + ")"
-		}
-		return e.Op + x
+		sb.WriteString(e.Op)
+		writeOperand(sb, e.X, exprPrec(e.X) < exprPrec(e))
 	case *BinaryExpr:
-		x, y := ExprString(e.X), ExprString(e.Y)
-		if exprPrec(e.X) < exprPrec(e) {
-			x = "(" + x + ")"
-		}
+		writeOperand(sb, e.X, exprPrec(e.X) < exprPrec(e))
+		sb.WriteByte(' ')
+		sb.WriteString(e.Op)
+		sb.WriteByte(' ')
 		// Right operand needs parens at equal precedence too, since
 		// all operators here are left-associative.
-		if exprPrec(e.Y) <= exprPrec(e) {
-			y = "(" + y + ")"
-		}
-		return fmt.Sprintf("%s %s %s", x, e.Op, y)
+		writeOperand(sb, e.Y, exprPrec(e.Y) <= exprPrec(e))
+	default:
+		fmt.Fprintf(sb, "/* %T */", e)
 	}
-	return fmt.Sprintf("/* %T */", e)
+}
+
+func writeOperand(sb *strings.Builder, e Expr, paren bool) {
+	if !paren {
+		writeExpr(sb, e)
+		return
+	}
+	sb.WriteByte('(')
+	writeExpr(sb, e)
+	sb.WriteByte(')')
+}
+
+// writeCall writes "name(arg, arg)".
+func writeCall(sb *strings.Builder, name string, args []Expr) {
+	sb.WriteString(name)
+	sb.WriteByte('(')
+	for i, a := range args {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		writeExpr(sb, a)
+	}
+	sb.WriteByte(')')
+}
+
+func writeInt(sb *strings.Builder, v int64) {
+	var buf [20]byte
+	sb.Write(strconv.AppendInt(buf[:0], v, 10))
 }

@@ -68,51 +68,71 @@ type Graph struct {
 // plain flowgraph, which is why the reaching-definitions result is a
 // separate argument.
 func Build(g *cfg.Graph, cd *cdg.Graph, rd *dataflow.ReachingDefs, inv Invariants) *Graph {
-	p := &Graph{CFG: g, CDG: cd}
+	nn := len(g.Nodes)
+	p := &Graph{CFG: g, CDG: cd, inv: make([]uint8, nn)}
 	p.dataDeps = rd.DataDeps()
-	p.rows = make([][]int, len(g.Nodes))
-	p.inv = make([]uint8, len(g.Nodes))
 	byKind := [...][]int{CondJump: inv.CondJump, SwitchEnclosure: inv.SwitchEnclosure}
+	// Every row is a capped sub-slice of one backing array, sized for
+	// the longest rows the merge can produce so it never moves.
+	size := 0
+	for n := 0; n < nn; n++ {
+		size += len(p.dataDeps[n]) + len(cd.Parents(n))
+		for _, targets := range byKind {
+			if targets != nil && targets[n] >= 0 {
+				size++
+			}
+		}
+	}
+	buf := make([]int, 0, size)
+	p.rows = make([][]int, nn)
 	for n := range p.rows {
-		var buf [len(byKind)]int
-		tail := buf[:0]
+		start := len(buf)
+		buf = appendRow(buf, p.dataDeps[n], cd.Parents(n))
 		for k, targets := range byKind {
 			if targets != nil && targets[n] >= 0 {
-				tail = append(tail, targets[n])
+				buf = append(buf, targets[n])
 				p.inv[n] |= 1 << k
 			}
 		}
-		p.rows[n] = mergeRow(p.dataDeps[n], cd.ParentIDs(n), tail)
+		if end := len(buf); end > start {
+			p.rows[n] = buf[start:end:end]
+		}
 	}
 	return p
 }
 
-// mergeRow merges a data-dependence row and a control-dependence row,
-// each sorted and de-duplicated, into a fresh sorted, de-duplicated
-// row followed by the invariant tail.
-func mergeRow(data, control, tail []int) []int {
-	if len(data)+len(control)+len(tail) == 0 {
-		return nil
+// appendRow appends to dst the sorted, de-duplicated union of a
+// data-dependence row (sorted, de-duplicated) and the controlling
+// nodes of a control-dependence row (sorted by From).
+func appendRow(dst, data []int, control []cdg.Dep) []int {
+	// next skips j past every dependence on control[j].From.
+	next := func(j int) int {
+		from := control[j].From
+		for j++; j < len(control) && control[j].From == from; j++ {
+		}
+		return j
 	}
-	row := make([]int, 0, len(data)+len(control)+len(tail))
 	i, j := 0, 0
 	for i < len(data) && j < len(control) {
-		switch d, c := data[i], control[j]; {
+		switch d, c := data[i], control[j].From; {
 		case d < c:
-			row = append(row, d)
+			dst = append(dst, d)
 			i++
 		case c < d:
-			row = append(row, c)
-			j++
+			dst = append(dst, c)
+			j = next(j)
 		default:
-			row = append(row, d)
+			dst = append(dst, d)
 			i++
-			j++
+			j = next(j)
 		}
 	}
-	row = append(row, data[i:]...)
-	row = append(row, control[j:]...)
-	return append(row, tail...)
+	dst = append(dst, data[i:]...)
+	for j < len(control) {
+		dst = append(dst, control[j].From)
+		j = next(j)
+	}
+	return dst
 }
 
 // Rederive returns a graph over a shape-identical flowgraph that
@@ -130,7 +150,12 @@ func (p *Graph) Rederive(g *cfg.Graph, cd *cdg.Graph, newDataDeps map[int][]int)
 	copy(q.rows, p.rows)
 	for n, dd := range newDataDeps {
 		q.dataDeps[n] = dd
-		q.rows[n] = mergeRow(dd, cd.ParentIDs(n), p.InvariantDeps(n))
+		tail := p.InvariantDeps(n)
+		var row []int
+		if k := len(dd) + len(cd.Parents(n)) + len(tail); k > 0 {
+			row = append(appendRow(make([]int, 0, k), dd, cd.Parents(n)), tail...)
+		}
+		q.rows[n] = row
 	}
 	return q
 }

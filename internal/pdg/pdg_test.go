@@ -193,3 +193,15 @@ func TestInvariantEdgesFormRowTails(t *testing.T) {
 		}
 	}
 }
+
+// TestRowsAreCapped pins the one-backing-array layout of Build's rows:
+// each row is capped at its length, so an append to one row can never
+// overwrite the next.
+func TestRowsAreCapped(t *testing.T) {
+	_, p := build(t, paper.Fig8().Source)
+	for n, row := range p.Rows() {
+		if cap(row) != len(row) {
+			t.Errorf("row %d has cap %d > len %d", n, cap(row), len(row))
+		}
+	}
+}
