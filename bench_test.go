@@ -633,7 +633,7 @@ func BenchmarkSliceSDG(b *testing.B) {
 		b.Fatal("multi-procedure corpus program has no main write criteria")
 	}
 	pick := func() (core.Criterion, []int) {
-		ps, err := core.AnalyzeProgramSet(p)
+		ps, err := core.AnalyzeProgramSet(context.Background(), p, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -651,7 +651,7 @@ func BenchmarkSliceSDG(b *testing.B) {
 	}
 	c, coldLines := pick()
 
-	warmSet, err := core.AnalyzeProgramSet(p)
+	warmSet, err := core.AnalyzeProgramSet(context.Background(), p, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -666,7 +666,7 @@ func BenchmarkSliceSDG(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			ps, err := core.AnalyzeProgramSet(p)
+			ps, err := core.AnalyzeProgramSet(context.Background(), p, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

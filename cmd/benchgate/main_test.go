@@ -65,7 +65,7 @@ func TestGate(t *testing.T) {
 
 func TestPhasesOf(t *testing.T) {
 	reg := obs.NewRegistry()
-	sp := reg.StartSpan("phase.analyze")
+	sp := obs.Scope{Rec: reg}.StartSpan("phase.analyze")
 	sp.End()
 	reg.Histogram("core.slice_nodes", obs.UnitCount).Observe(12)
 	phases := PhasesOf(reg.Snapshot())
@@ -85,7 +85,7 @@ func TestEndToEndGate(t *testing.T) {
 
 	// Metrics snapshot with one phase histogram.
 	reg := obs.NewRegistry()
-	reg.StartSpan("phase.analyze").End()
+	obs.Scope{Rec: reg}.StartSpan("phase.analyze").End()
 	metricsPath := filepath.Join(dir, "metrics.json")
 	data, err := json.Marshal(reg.Snapshot())
 	if err != nil {

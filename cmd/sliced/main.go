@@ -1120,7 +1120,7 @@ func (s *server) sliceSDG(ctx context.Context, w http.ResponseWriter, r *http.Re
 			"program has %d statements, over the %d limit", stmts, s.cfg.MaxStmts))
 		return nil, 0
 	}
-	ps, err := core.AnalyzeProgramSetObservedContext(ctx, prog, s.reg, tr)
+	ps, err := core.AnalyzeProgramSet(ctx, prog, s.reg, tr)
 	if err != nil {
 		s.failErr(w, r, "analyze", err)
 		return nil, 0

@@ -209,6 +209,35 @@ func TestSessionFailedEditLeavesSessionIntact(t *testing.T) {
 	}
 }
 
+// TestSessionPatchAddingProcedureFails: a PATCH whose new source
+// declares a procedure fails exactly as opening a session with that
+// source does (422 analyze_failed), instead of being accepted with the
+// procedure silently dropped, and the session keeps its old source.
+func TestSessionPatchAddingProcedureFails(t *testing.T) {
+	_, ts := newTestServer(t)
+	const body = "read(x);\ny = x + 1;\nwrite(y);\n"
+	const withProc = "proc f(a) {\n  a = a + 1;\n}\n" + body
+	id := openSession(t, ts, body)
+
+	resp := do(t, http.MethodPost, ts.URL+"/session", "text/plain", withProc)
+	expectAPIError(t, resp, http.StatusUnprocessableEntity, "analyze_failed")
+
+	resp = do(t, http.MethodPatch, ts.URL+"/session/"+id+"?var=y&line=6", "text/plain", withProc)
+	expectAPIError(t, resp, http.StatusUnprocessableEntity, "analyze_failed")
+
+	// The session still holds the three-line program: line 2 is the
+	// definition of y, and a one-line edit of it patches.
+	resp = patchEdit(t, ts, id, "var=y&line=3", 2, "y = x + 2;")
+	var pr sessionPatchResponse
+	decodeInto(t, resp, http.StatusOK, &pr)
+	if pr.Incremental.Outcome != "patched" {
+		t.Fatalf("post-failure edit outcome = %q, want patched", pr.Incremental.Outcome)
+	}
+	if got := fmt.Sprint(pr.Lines); got != "[1 2 3]" {
+		t.Fatalf("post-failure slice lines = %s, want [1 2 3]", got)
+	}
+}
+
 // TestSessionEvictedRebuildsFull: when the cache drops a session's
 // analysis (budget pressure, simulated by a direct delete), the next
 // PATCH transparently rebuilds cold and keeps the session usable.

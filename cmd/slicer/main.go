@@ -39,6 +39,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -199,7 +200,7 @@ func run(args []string, out io.Writer) error {
 
 // runSDG computes and prints the interprocedural (HRB two-pass) slice.
 func runSDG(out io.Writer, prog *lang.Program, c core.Criterion, lines, stats, explain bool) error {
-	ps, err := core.AnalyzeProgramSet(prog)
+	ps, err := core.AnalyzeProgramSet(context.Background(), prog, nil, nil)
 	if err != nil {
 		return err
 	}

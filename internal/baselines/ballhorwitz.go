@@ -80,7 +80,7 @@ func BallHorwitz(a *core.Analysis, c core.Criterion) (*core.Slice, error) {
 	// code, while the Figure 7 loop skips them. The live fragments of
 	// the two slices coincide — see Slice.LiveStatementNodes and the
 	// equivalence property tests.
-	set := apdg.BackwardClosure(seeds)
+	set, _ := apdg.BackwardClosure(seeds, nil) // cannot fail without a cancel callback
 	set.Add(a.CFG.Entry.ID)
 	// The shared slice invariants (conditional-jump adaptation,
 	// switch enclosure) apply to every algorithm; see

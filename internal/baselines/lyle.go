@@ -41,7 +41,7 @@ func Lyle(a *core.Analysis, c core.Criterion) (*core.Slice, error) {
 			if set.Has(j.ID) || !fromSlice[j.ID] || !reachesCriterion[j.ID] {
 				continue
 			}
-			a.PDG.GrowClosure(set, j.ID)
+			a.PDG.GrowClosure(set, j.ID, nil)
 			s.JumpsAdded = append(s.JumpsAdded, j.ID)
 			changed = true
 		}

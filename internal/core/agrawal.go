@@ -26,7 +26,7 @@ import (
 // For many criteria on the same Analysis, SliceAll computes the same
 // slices faster by sharing memoized dependence closures.
 func (a *Analysis) Agrawal(c Criterion) (*Slice, error) {
-	return a.agrawalWith(c, a.engine())
+	return a.agrawalWith(c, a.PDG)
 }
 
 // agrawalWith is Agrawal parameterized by the closure engine.
@@ -68,7 +68,7 @@ func (a *Analysis) agrawalWith(c Criterion, eng depEngine) (*Slice, error) {
 // The base set must already satisfy the slice invariants (pass it
 // through NormalizeSlice first); each admission keeps them.
 func (a *Analysis) RepairJumps(set *bits.Set) (jumpsAdded []int, rules []JumpRule, traversals int, err error) {
-	return a.repairJumps(set, a.jumpsPDT, a.engine())
+	return a.repairJumps(set, a.jumpsPDT, a.PDG)
 }
 
 // repairJumps is the Figure 7 loop over a precomputed worklist of
@@ -82,7 +82,7 @@ func (a *Analysis) repairJumps(set *bits.Set, worklist []int, eng depEngine) (ju
 	for {
 		traversals++
 		a.m.traversals.Add(1)
-		a.tr.Traversal("fig7", traversals)
+		a.sc.Tr.Traversal("fig7", traversals)
 		if err := a.checkCancel("fig7"); err != nil {
 			return nil, nil, traversals, err
 		}
@@ -102,13 +102,13 @@ func (a *Analysis) repairJumps(set *bits.Set, worklist []int, eng depEngine) (ju
 			if pd == ls {
 				continue
 			}
-			if _, err := eng.grow(set, v); err != nil {
+			if _, err := eng.GrowClosure(set, v, a.cancelf); err != nil {
 				return nil, nil, traversals, err
 			}
 			jumpsAdded = append(jumpsAdded, v)
 			rules = append(rules, JumpRule{NearestPD: pd, NearestLS: ls})
 			a.m.jumpsAdmitted.Add(1)
-			a.tr.JumpAdmitted("fig7", v, pd, ls)
+			a.sc.Tr.JumpAdmitted("fig7", v, pd, ls)
 			if err := a.checkCancel("fig7"); err != nil {
 				return nil, nil, traversals, err
 			}
@@ -143,7 +143,7 @@ func (a *Analysis) AgrawalLST(c Criterion) (*Slice, error) {
 		Algorithm: "agrawal-lst",
 		Nodes:     set,
 	}
-	jumps, rules, traversals, err := a.repairJumps(set, a.jumpsLST, a.engine())
+	jumps, rules, traversals, err := a.repairJumps(set, a.jumpsLST, a.PDG)
 	if err != nil {
 		return nil, fmt.Errorf("core: LST-driven algorithm: %w", err)
 	}
@@ -162,7 +162,7 @@ func (a *Analysis) recordSlice(algo string, set *bits.Set) {
 	if a.m.sliceNodes != nil {
 		a.m.sliceNodes.Observe(int64(set.Len()))
 	}
-	if a.tr != nil {
-		a.tr.SliceDone(algo, set.Len())
+	if a.sc.Tr != nil {
+		a.sc.Tr.SliceDone(algo, set.Len())
 	}
 }

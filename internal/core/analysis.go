@@ -123,21 +123,18 @@ type Analysis struct {
 	// Analysis struct itself stays free of locks and legal to copy.
 	batch *batchState
 
-	// rec is the observability recorder every slicing call reports to
-	// (obs.Nop unless AnalyzeRecorded attached a collecting one), and
-	// m holds the pre-resolved instruments so hot paths pay a single
-	// nil-check per event when recording is disabled.
-	rec obs.Recorder
-	m   coreMetrics
-
-	// tr is the request-scoped tracer (nil unless AnalyzeObserved
-	// attached one). Every trace emission below is nil-checked inside
-	// the tracer, so the untraced hot path pays the same single-branch
-	// cost as the unrecorded one.
-	tr *obs.Tracer
+	// sc is the instrumentation every slicing call reports to: its
+	// recorder (obs.Nop unless a collecting one was attached) and its
+	// request-scoped tracer (nil unless one was attached). m holds the
+	// instruments pre-resolved from sc.Rec, so hot paths pay a single
+	// nil-check per event when recording is disabled; every trace
+	// emission is nil-checked inside the tracer, so the untraced hot
+	// path pays the same single-branch cost.
+	sc obs.Scope
+	m  coreMetrics
 
 	// ctx is the request context the Analysis was built under (nil
-	// unless AnalyzeObservedContext attached a cancelable one), and
+	// unless it was built or rebound with a cancelable one), and
 	// cancelf is the pre-bound cancellation callback handed to the
 	// dependence-closure engines (nil when ctx is nil, which disables
 	// their checks entirely). See cancel.go.
@@ -180,9 +177,9 @@ func (m *coreMetrics) resolve(rec obs.Recorder) {
 
 // batchState is the shared lazily-built batch-engine state of one
 // Analysis and all its Rebind views. The condensation sits behind an
-// atomic pointer for two reasons: Reanalyze pre-seeds it with a
+// atomic pointer for two reasons: ReanalyzeProgram pre-seeds it with a
 // patched condensation before the Analysis is shared (the once then
-// observes the seed and skips its build), and Reanalyze peeks at a
+// observes the seed and skips its build), and ReanalyzeProgram peeks at a
 // *previous* Analysis's condensation while other views of it may be
 // slicing concurrently.
 type batchState struct {
@@ -192,60 +189,43 @@ type batchState struct {
 
 // Analyze parses nothing: it takes an already-parsed program and
 // derives the flowgraph, postdominator tree, dependence graphs, and
-// lexical successor tree. Equivalent to AnalyzeRecorded with the
-// no-op recorder.
+// lexical successor tree, with no instrumentation and no context.
 func Analyze(prog *lang.Program) (*Analysis, error) {
-	return AnalyzeRecorded(prog, obs.Nop)
+	return AnalyzeObservedContext(context.Background(), prog, nil, nil)
 }
 
-// AnalyzeRecorded is Analyze with an observability recorder attached:
-// each construction phase is timed under a "phase.analyze.*" span
-// (cfg → postdominators → cdg → dataflow → pdg → lst → worklists;
-// the batch condensation, built lazily, reports under
-// "phase.analyze.condense"), and every slicing call on the returned
-// Analysis reports its fixpoint traversals, jump examinations and
-// slice sizes to the same recorder. A nil recorder means obs.Nop.
-func AnalyzeRecorded(prog *lang.Program, rec obs.Recorder) (*Analysis, error) {
-	return AnalyzeObserved(prog, rec, nil)
-}
-
-// AnalyzeObserved is AnalyzeRecorded with a request-scoped tracer
-// attached as well: every phase span also lands in the trace as an
-// event, and each slicing call on the returned Analysis emits its
+// AnalyzeObservedContext is Analyze with instrumentation and a request
+// context attached.
+//
+// Each construction phase is timed under a "phase.analyze.*" span
+// (cfg → postdominators → cdg → dataflow → pdg → lst → worklists; the
+// batch condensation, built lazily, reports under
+// "phase.analyze.condense"), recorded into rec's duration histograms
+// and, when tracing, into tr's flight recorder and span log. Every
+// slicing call on the returned Analysis reports its fixpoint
+// traversals, jump examinations and slice sizes to rec, and emits its
 // traversal passes, jump admissions (with the nearest-postdominator/
 // lexical-successor evidence of the Figure 7 rule), closure-cache
-// activity and finished slices to the same tracer. A nil tracer means
-// no tracing — the metrics-only behaviour of AnalyzeRecorded.
-func AnalyzeObserved(prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*Analysis, error) {
-	return AnalyzeObservedContext(context.Background(), prog, rec, tr)
-}
-
-// AnalyzeObservedContext is AnalyzeObserved bound to a request
-// context: the construction phases check ctx at every phase boundary,
-// and every slicing call on the returned Analysis — the Figure
-// 7/12/13 fixpoint loops, the dependence-closure engines, SliceAll —
-// keeps checking it cooperatively (see cancel.go for the cadences).
-// When ctx is canceled or its deadline expires, the in-flight call
-// journals a cancellation trace event, counts it under
-// core.cancellations, and returns an error wrapping ctx.Err(). A
-// context that can never be canceled (context.Background) disables
-// the checks.
+// activity and finished slices to tr. A nil rec means obs.Nop; a nil
+// tr means no tracing.
+//
+// The construction phases check ctx at every phase boundary, and every
+// slicing call on the returned Analysis — the Figure 7/12/13 fixpoint
+// loops, the dependence-closure engines, SliceAll — keeps checking it
+// cooperatively (see cancel.go for the cadences). When ctx is canceled
+// or its deadline expires, the in-flight call journals a cancellation
+// trace event, counts it under core.cancellations, and returns an
+// error wrapping ctx.Err(). A context that can never be canceled
+// (context.Background) disables the checks.
 func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*Analysis, error) {
 	if len(prog.Procs) > 0 {
 		return nil, fmt.Errorf("core: program declares procedures; use AnalyzeProgramSet for interprocedural analysis")
 	}
-	rec = obs.OrNop(rec)
-	// phase times one construction phase on both sinks: the metrics
-	// histogram and, when tracing, the event journal.
-	phase := func(name string) func() {
-		sp := rec.StartSpan(name)
-		ts := tr.StartSpan(name)
-		return func() { ts.End(); sp.End() }
-	}
-	endTotal := phase("phase.analyze")
-	end := phase("phase.analyze.cfg")
+	sc := obs.Scope{Rec: obs.OrNop(rec), Tr: tr}
+	total := sc.StartSpan("phase.analyze")
+	sp := sc.StartSpan("phase.analyze.cfg")
 	g, err := cfg.Build(prog)
-	end()
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -253,46 +233,45 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Rec
 		Prog:  prog,
 		CFG:   g,
 		batch: &batchState{},
-		rec:   rec,
-		tr:    tr,
+		sc:    sc,
 	}
-	a.m.resolve(rec)
+	a.m.resolve(sc.Rec)
 	a.bindContext(ctx)
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.postdominators")
+	sp = sc.StartSpan("phase.analyze.postdominators")
 	a.PDT = dom.PostDominators(g, g.Exit.ID)
-	end()
+	sp.End()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.cdg")
+	sp = sc.StartSpan("phase.analyze.cdg")
 	a.CDG = cdg.Build(g, a.PDT)
-	end()
+	sp.End()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.dataflow")
+	sp = sc.StartSpan("phase.analyze.dataflow")
 	a.RD = dataflow.Reach(g)
-	end()
+	sp.End()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.pdg")
+	sp = sc.StartSpan("phase.analyze.pdg")
 	a.findInvariantTargets()
 	a.PDG = pdg.Build(g, a.CDG, a.RD, a.invariants())
-	end()
+	sp.End()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.lst")
+	sp = sc.StartSpan("phase.analyze.lst")
 	a.LST = lst.Build(g)
-	end()
+	sp.End()
 	if err := a.checkCancel("analyze"); err != nil {
 		return nil, err
 	}
-	end = phase("phase.analyze.worklists")
+	sp = sc.StartSpan("phase.analyze.worklists")
 	a.live = g.Reachable()
 	a.jumpsPDT = a.filterLiveJumps(a.PDT.Preorder())
 	a.jumpsLST = a.filterLiveJumps(a.LST.Preorder())
@@ -301,8 +280,8 @@ func AnalyzeObservedContext(ctx context.Context, prog *lang.Program, rec obs.Rec
 			a.gotoNodes = append(a.gotoNodes, n)
 		}
 	}
-	end()
-	endTotal()
+	sp.End()
+	total.End()
 	return a, nil
 }
 
@@ -363,14 +342,6 @@ func (a *Analysis) findInvariantTargets() {
 func (a *Analysis) invariants() pdg.Invariants {
 	return pdg.Invariants{CondJump: a.condJump, SwitchEnclosure: a.enclosingSwitch}
 }
-
-// Recorder returns the observability recorder attached at analysis
-// time (obs.Nop when none was).
-func (a *Analysis) Recorder() obs.Recorder { return a.rec }
-
-// Tracer returns the tracer attached at analysis time (nil when none
-// was; the nil tracer is a valid no-op).
-func (a *Analysis) Tracer() *obs.Tracer { return a.tr }
 
 // filterLiveJumps projects a tree preorder onto the live jump nodes,
 // preserving order — the only nodes the Figure 7 traversals act on.

@@ -198,7 +198,7 @@ func TestPropertyWorklistMatchesSeedRepair(t *testing.T) {
 			for _, eng := range []struct {
 				name string
 				e    depEngine
-			}{{"bfs", a.engine()}, {"condensation", a.batchEngine()}} {
+			}{{"bfs", a.PDG}, {"condensation", a.batchEngine()}} {
 				set := conv.Nodes.Clone()
 				jumps, _, traversals, err := a.repairJumps(set, a.jumpsPDT, eng.e)
 				if err != nil {

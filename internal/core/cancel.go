@@ -5,9 +5,10 @@ import (
 	"fmt"
 )
 
-// Cooperative cancellation. An Analysis built with
-// AnalyzeObservedContext carries its request's context, and every
-// phase of the pipeline consults it at bounded intervals: Analyze
+// Cooperative cancellation. An Analysis built by
+// AnalyzeObservedContext, AnalyzeProgramSet or ReanalyzeProgram with a
+// cancelable context (or rebound to one) carries that context, and every
+// phase of the pipeline consults it at bounded intervals: analysis
 // checks between construction phases, the Figure 7/12/13 fixpoint
 // loops check once per traversal, once per admitted jump and every
 // cancelCheckJumps candidate examinations, and the dependence-closure
@@ -19,9 +20,10 @@ import (
 // point returns an error wrapping context.Canceled or
 // context.DeadlineExceeded for the caller to classify.
 //
-// An Analysis built without a context (Analyze, AnalyzeRecorded,
-// AnalyzeObserved) pays a single nil-check per cadence interval —
-// BenchmarkSliceAll gates that this stays within the perf envelope.
+// An Analysis built without a cancelable context (Analyze, or any
+// entry point given context.Background) pays a single nil-check per
+// cadence interval — BenchmarkSliceAll gates that this stays within
+// the perf envelope.
 
 // cancelCheckJumps is the fixpoint-loop cadence: the jump-detection
 // worklist loops consult the context once per this many candidate
@@ -67,6 +69,6 @@ func (a *Analysis) checkCancel(where string) error {
 // detection site.
 func (a *Analysis) canceled(where string, err error) error {
 	a.m.cancellations.Add(1)
-	a.tr.Canceled(where)
+	a.sc.Tr.Canceled(where)
 	return fmt.Errorf("core: %s: %w", where, err)
 }

@@ -20,7 +20,7 @@ import (
 // Ottenstein PDG slice and is correct; on programs with jumps it is
 // the baseline the paper's Figures 3-b and 5-b show to be wrong.
 func (a *Analysis) Conventional(c Criterion) (*Slice, error) {
-	s, err := a.conventionalWith(c, a.engine())
+	s, err := a.conventionalWith(c, a.PDG)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +35,7 @@ func (a *Analysis) conventionalWith(c Criterion, eng depEngine) (*Slice, error) 
 	if err != nil {
 		return nil, err
 	}
-	set, err := eng.backwardClosure(seeds)
+	set, err := eng.BackwardClosure(seeds, a.cancelf)
 	if err != nil {
 		return nil, err
 	}
@@ -94,10 +94,9 @@ func (a *Analysis) RetargetLabels(set *bits.Set) map[string]int {
 // invariants. The error is non-nil only when the Analysis's context
 // was canceled mid-closure.
 func (a *Analysis) NormalizeSlice(set *bits.Set) error {
-	eng := a.engine()
 	for m := set.NextSet(0); m >= 0; m = set.NextSet(m + 1) {
 		for _, t := range a.PDG.InvariantDeps(m) {
-			if _, err := eng.grow(set, t); err != nil {
+			if _, err := a.PDG.GrowClosure(set, t, a.cancelf); err != nil {
 				return err
 			}
 		}

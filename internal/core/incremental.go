@@ -53,41 +53,25 @@ func resolveIncrMetrics(rec obs.Recorder) incrMetrics {
 	}
 }
 
-// Reanalyze re-derives an Analysis for newSrc, reusing whatever the
-// previous analysis proves still valid. The result is always exactly
-// what Analyze(Parse(newSrc)) would produce — reuse never depends on
-// the differ being clever, only on the structural safety checks
-// holding — so callers can treat it as a faster Analyze. prev may be
-// nil (a plain cold analysis).
-func Reanalyze(prev *Analysis, newSrc string) (*Analysis, *IncrStats, error) {
-	prog, err := lang.Parse(newSrc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ReanalyzeProgram(context.Background(), prev, prog, nil, nil)
-}
-
-// ReanalyzeObservedContext is Reanalyze with the full observability
-// surface of AnalyzeObservedContext.
-func ReanalyzeObservedContext(ctx context.Context, prev *Analysis, newSrc string, rec obs.Recorder, tr *obs.Tracer) (*Analysis, *IncrStats, error) {
-	prog, err := lang.Parse(newSrc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ReanalyzeProgram(ctx, prev, prog, rec, tr)
-}
-
-// ReanalyzeProgram is the parse-free core of Reanalyze, for callers
-// that already hold the new program's AST (e.g. from
+// ReanalyzeProgram re-derives an Analysis for prog, reusing whatever
+// the previous analysis proves still valid. The result is always
+// exactly what AnalyzeObservedContext(ctx, prog, rec, tr) would
+// produce, error included — reuse never depends on the differ being
+// clever, only on the structural safety checks holding — so callers
+// can treat it as a faster cold analysis. prev may be nil (a plain
+// cold analysis). Callers holding a one-line edit can build prog with
 // incremental.SpliceLine, which avoids the full reparse that would
-// otherwise dominate a one-line edit).
+// otherwise dominate the edit.
 //
 // Tier decision:
 //
 //   - The ASTs are diffed statement by statement. Any structural
 //     difference — statement inserted, deleted, kind changed, label or
 //     goto target or case value changed — falls back to a cold
-//     AnalyzeObservedContext ("full").
+//     AnalyzeObservedContext ("full"). So does a program declaring
+//     procedures: the differ only walks the top-level body, and the
+//     cold run rejects such programs exactly as it would without a
+//     previous analysis.
 //   - Same shape with every definition intact reuses the
 //     postdominator tree, CDG, LST, dataflow and all precomputed
 //     worklists (they are pure functions of flowgraph shape, or of
@@ -104,11 +88,9 @@ func ReanalyzeObservedContext(ctx context.Context, prev *Analysis, newSrc string
 // previous one before anything is reused, so a differ bug degrades to
 // a full run, never to a wrong slice.
 func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*Analysis, *IncrStats, error) {
-	rec = obs.OrNop(rec)
-	im := resolveIncrMetrics(rec)
-	sp := rec.StartSpan("phase.reanalyze")
-	ts := tr.StartSpan("phase.reanalyze")
-	defer func() { ts.End(); sp.End() }()
+	sc := obs.Scope{Rec: obs.OrNop(rec), Tr: tr}
+	im := resolveIncrMetrics(sc.Rec)
+	defer sc.StartSpan("phase.reanalyze").End()
 
 	stats := &IncrStats{}
 	full := func(reason string) (*Analysis, *IncrStats, error) {
@@ -128,10 +110,13 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	if prev == nil {
 		return full("no previous analysis")
 	}
-	sc := incremental.Diff(prev.Prog, prog)
-	stats.Edits = sc.Edits
-	if !sc.SameShape {
-		return full(sc.Mismatch)
+	if len(prog.Procs) > 0 {
+		return full("program declares procedures")
+	}
+	diff := incremental.Diff(prev.Prog, prog)
+	stats.Edits = diff.Edits
+	if !diff.SameShape {
+		return full(diff.Mismatch)
 	}
 
 	// Re-derive the flowgraph by rebinding the previous node table
@@ -149,10 +134,9 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 		Prog:  prog,
 		CFG:   g2,
 		batch: &batchState{},
-		rec:   rec,
-		tr:    tr,
+		sc:    sc,
 	}
-	a.m.resolve(rec)
+	a.m.resolve(sc.Rec)
 	a.bindContext(ctx)
 	if err := a.checkCancel("reanalyze"); err != nil {
 		return nil, nil, err
@@ -184,7 +168,7 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 	}
 
 	defChanged := false
-	for _, r := range sc.Replaced {
+	for _, r := range diff.Replaced {
 		if r.DefChanged {
 			defChanged = true
 			break
@@ -210,8 +194,8 @@ func ReanalyzeProgram(ctx context.Context, prev *Analysis, prog *lang.Program, r
 		stats.PhasesReused = 5     // postdominators, cdg, dataflow, lst, worklists
 		stats.PhasesRecomputed = 2 // cfg, pdg rows
 		a.RD = prev.RD.WithGraph(g2)
-		changed := make(map[int][]int, len(sc.Replaced))
-		for _, r := range sc.Replaced {
+		changed := make(map[int][]int, len(diff.Replaced))
+		for _, r := range diff.Replaced {
 			// Resolve through the previous graph's statement index —
 			// positions are identical across a same-shape rebind, and
 			// prev's index is already built while g2's would have to be
@@ -251,11 +235,7 @@ func (a *Analysis) patchCondensation(prev *Analysis, changed map[int][]int, stat
 	if !ok {
 		return
 	}
-	q.Instrument(
-		a.rec.Counter("pdg.closure_requests"),
-		a.rec.Counter("pdg.closure_hits"),
-		a.rec.Counter("pdg.closure_builds"))
-	q.Trace(a.tr)
+	q.Instrument(a.sc)
 	a.batch.cond.Store(q)
 	stats.CondensationPatched = true
 	stats.PhasesReused++ // the condensation survived as an eighth phase

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -52,6 +53,12 @@ func editSrcLine(t *testing.T, src string, line int, text string) string {
 	}
 	lines[line-1] = text
 	return strings.Join(lines, "\n")
+}
+
+// reanalyze parses src and re-analyzes it against prev, with no
+// instrumentation and no context.
+func reanalyze(prev *Analysis, src string) (*Analysis, *IncrStats, error) {
+	return ReanalyzeProgram(context.Background(), prev, lang.MustParse(src), nil, nil)
 }
 
 func analyzeSrc(t *testing.T, src string) *Analysis {
@@ -153,9 +160,9 @@ func writeCriteria(p *lang.Program, cap int) []Criterion {
 
 func TestReanalyzeIdenticalIsPatched(t *testing.T) {
 	prev := analyzeSrc(t, fig8src)
-	a, stats, err := Reanalyze(prev, fig8src)
+	a, stats, err := reanalyze(prev, fig8src)
 	if err != nil {
-		t.Fatalf("Reanalyze: %v", err)
+		t.Fatalf("ReanalyzeProgram: %v", err)
 	}
 	if stats.Outcome != "patched" || len(stats.Edits) != 0 || stats.Fallback != "" {
 		t.Fatalf("identical source: stats = %+v", stats)
@@ -170,9 +177,9 @@ func TestReanalyzeIdenticalIsPatched(t *testing.T) {
 func TestReanalyzeExpressionEditIsPatched(t *testing.T) {
 	prev := analyzeSrc(t, fig8src)
 	newSrc := editSrcLine(t, fig8src, 6, "sum = sum + f1(x) + 1;")
-	a, stats, err := Reanalyze(prev, newSrc)
+	a, stats, err := reanalyze(prev, newSrc)
 	if err != nil {
-		t.Fatalf("Reanalyze: %v", err)
+		t.Fatalf("ReanalyzeProgram: %v", err)
 	}
 	if stats.Outcome != "patched" {
 		t.Fatalf("expression edit: outcome %q (fallback %q), want patched", stats.Outcome, stats.Fallback)
@@ -190,9 +197,9 @@ func TestReanalyzeExpressionEditIsPatched(t *testing.T) {
 func TestReanalyzeDefEditIsPartial(t *testing.T) {
 	prev := analyzeSrc(t, fig8src)
 	newSrc := editSrcLine(t, fig8src, 2, "others = 0;")
-	a, stats, err := Reanalyze(prev, newSrc)
+	a, stats, err := reanalyze(prev, newSrc)
 	if err != nil {
-		t.Fatalf("Reanalyze: %v", err)
+		t.Fatalf("ReanalyzeProgram: %v", err)
 	}
 	if stats.Outcome != "partial" {
 		t.Fatalf("def edit: outcome %q (fallback %q), want partial", stats.Outcome, stats.Fallback)
@@ -204,9 +211,9 @@ func TestReanalyzeDefEditIsPartial(t *testing.T) {
 func TestReanalyzeStructuralEditIsFull(t *testing.T) {
 	prev := analyzeSrc(t, fig8src)
 	newSrc := fig8src + "write(sum);\n"
-	a, stats, err := Reanalyze(prev, newSrc)
+	a, stats, err := reanalyze(prev, newSrc)
 	if err != nil {
-		t.Fatalf("Reanalyze: %v", err)
+		t.Fatalf("ReanalyzeProgram: %v", err)
 	}
 	if stats.Outcome != "full" || stats.Fallback == "" {
 		t.Fatalf("structural edit: stats = %+v", stats)
@@ -219,19 +226,35 @@ func TestReanalyzeStructuralEditIsFull(t *testing.T) {
 }
 
 func TestReanalyzeNilPreviousIsFull(t *testing.T) {
-	a, stats, err := Reanalyze(nil, fig8src)
+	a, stats, err := reanalyze(nil, fig8src)
 	if err != nil {
-		t.Fatalf("Reanalyze: %v", err)
+		t.Fatalf("ReanalyzeProgram: %v", err)
 	}
 	if stats.Outcome != "full" || a == nil {
 		t.Fatalf("nil previous: stats = %+v", stats)
 	}
 }
 
-func TestReanalyzeParseErrorPropagates(t *testing.T) {
-	prev := analyzeSrc(t, fig8src)
-	if _, _, err := Reanalyze(prev, "if ("); err == nil {
-		t.Fatal("Reanalyze of unparsable source: expected error")
+// TestReanalyzeRejectsProcedures: a program that declares procedures
+// fails a re-analysis with the error a cold analysis gives it, even
+// when its top-level body has the previous program's shape — the
+// statement differ walks only the body, so without the check the edit
+// would land in the patched tier and the procedure would be dropped.
+func TestReanalyzeRejectsProcedures(t *testing.T) {
+	const body = "read(x);\ny = x + 1;\nwrite(y);\n"
+	prev := analyzeSrc(t, body)
+	prog := lang.MustParse("proc f(a) {\n  a = a + 1;\n}\n" + body)
+	_, coldErr := Analyze(prog)
+	if coldErr == nil {
+		t.Fatal("cold analysis accepted a program that declares procedures")
+	}
+	a, stats, err := ReanalyzeProgram(context.Background(), prev, prog, nil, nil)
+	if err == nil {
+		t.Fatalf("ReanalyzeProgram accepted a program that declares procedures: outcome %q, %d procs kept",
+			stats.Outcome, len(a.Prog.Procs))
+	}
+	if err.Error() != coldErr.Error() {
+		t.Fatalf("ReanalyzeProgram error %q, cold analysis error %q", err, coldErr)
 	}
 }
 
@@ -268,9 +291,9 @@ func TestReanalyzeCondensationPatched(t *testing.T) {
 		t.Fatalf("warming SliceAll: %v", err)
 	}
 	newSrc := editSrcLine(t, straightSrc, 5, "e = d - a + b;")
-	a, stats, err := Reanalyze(prev, newSrc)
+	a, stats, err := reanalyze(prev, newSrc)
 	if err != nil {
-		t.Fatalf("Reanalyze: %v", err)
+		t.Fatalf("ReanalyzeProgram: %v", err)
 	}
 	if stats.Outcome != "patched" {
 		t.Fatalf("outcome %q (fallback %q), want patched", stats.Outcome, stats.Fallback)
@@ -285,13 +308,13 @@ func TestReanalyzeCondensationPatched(t *testing.T) {
 // exports: reused/recomputed phase counts per tier, and fallbacks.
 func TestReanalyzeCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	prev, err := AnalyzeRecorded(lang.MustParse(fig8src), reg)
+	prev, err := AnalyzeObservedContext(context.Background(), lang.MustParse(fig8src), reg, nil)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
 	newSrc := editSrcLine(t, fig8src, 6, "sum = sum + f1(x) + 1;")
-	if _, _, err := ReanalyzeObservedContext(prev.Context(), prev, newSrc, reg, nil); err != nil {
-		t.Fatalf("Reanalyze: %v", err)
+	if _, _, err := ReanalyzeProgram(prev.Context(), prev, lang.MustParse(newSrc), reg, nil); err != nil {
+		t.Fatalf("ReanalyzeProgram: %v", err)
 	}
 	if got := reg.Counter("incr.reused").Value(); got < 5 {
 		t.Fatalf("incr.reused = %d, want >= 5", got)
@@ -302,8 +325,8 @@ func TestReanalyzeCounters(t *testing.T) {
 	if got := reg.Counter("incr.fallbacks").Value(); got != 0 {
 		t.Fatalf("incr.fallbacks = %d, want 0", got)
 	}
-	if _, _, err := ReanalyzeObservedContext(prev.Context(), prev, fig8src+"write(sum);\n", reg, nil); err != nil {
-		t.Fatalf("Reanalyze: %v", err)
+	if _, _, err := ReanalyzeProgram(prev.Context(), prev, lang.MustParse(fig8src+"write(sum);\n"), reg, nil); err != nil {
+		t.Fatalf("ReanalyzeProgram: %v", err)
 	}
 	if got := reg.Counter("incr.fallbacks").Value(); got != 1 {
 		t.Fatalf("incr.fallbacks after structural edit = %d, want 1", got)
@@ -324,8 +347,8 @@ func TestReanalyzePreviousSurvives(t *testing.T) {
 		t.Fatalf("Agrawal: %v", err)
 	}
 	newSrc := editSrcLine(t, fig8src, 6, "sum = sum + f1(x) + 1;")
-	if _, _, err := Reanalyze(prev, newSrc); err != nil {
-		t.Fatalf("Reanalyze: %v", err)
+	if _, _, err := reanalyze(prev, newSrc); err != nil {
+		t.Fatalf("ReanalyzeProgram: %v", err)
 	}
 	requireSameSlices(t, "donor after reanalyze", prev, analyzeSrc(t, fig8src), crits)
 	after, err := prev.Agrawal(crits[0])
@@ -449,7 +472,7 @@ func TestReanalyzePropertyByteIdentity(t *testing.T) {
 						t.Fatalf("%s seed %d step %d: warm SliceAll: %v", corpus.name, seed, step, err)
 					}
 					newSrc, wantTier := mutate(rng, src)
-					inc, stats, err := Reanalyze(cur, newSrc)
+					inc, stats, err := reanalyze(cur, newSrc)
 					if err != nil {
 						t.Fatalf("%s seed %d step %d: Reanalyze: %v\nsource:\n%s", corpus.name, seed, step, err, newSrc)
 					}

@@ -54,9 +54,8 @@ type ProgramSet struct {
 	// SDG is the system dependence graph over the units.
 	SDG *sdg.Graph
 
-	rec obs.Recorder
-	tr  *obs.Tracer
-	sm  sdgMetrics
+	sc obs.Scope
+	sm sdgMetrics
 
 	summaryOnce sync.Once
 	summaryErr  error
@@ -81,33 +80,21 @@ func (m *sdgMetrics) resolve(rec obs.Recorder) {
 // Programs without procedures are legal — the set then has a single
 // unit (main) and SliceInterproc degenerates to the intraprocedural
 // Agrawal algorithm, producing the identical slice.
-func AnalyzeProgramSet(prog *lang.Program) (*ProgramSet, error) {
-	return AnalyzeProgramSetObservedContext(context.Background(), prog, obs.Nop, nil)
-}
+//
+// rec and tr are passed through to every per-procedure analysis, so
+// the usual phase.analyze.* spans are reported once per unit, inside
+// one phase.analyze.sdg span; a nil rec means obs.Nop and a nil tr no
+// tracing. ctx cancels both the per-procedure analyses and every later
+// closure walk on the set (including summary computation).
+func AnalyzeProgramSet(ctx context.Context, prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*ProgramSet, error) {
+	sc := obs.Scope{Rec: obs.OrNop(rec), Tr: tr}
+	defer sc.StartSpan("phase.analyze.sdg").End()
 
-// AnalyzeProgramSetObserved is AnalyzeProgramSet with a recorder and
-// tracer attached; both are passed through to every per-procedure
-// analysis, so the usual phase.analyze.* spans are reported once per
-// unit.
-func AnalyzeProgramSetObserved(prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*ProgramSet, error) {
-	return AnalyzeProgramSetObservedContext(context.Background(), prog, rec, tr)
-}
-
-// AnalyzeProgramSetObservedContext is AnalyzeProgramSetObserved bound
-// to a request context, which cancels both the per-procedure analyses
-// and every later closure walk on the set (including summary
-// computation).
-func AnalyzeProgramSetObservedContext(ctx context.Context, prog *lang.Program, rec obs.Recorder, tr *obs.Tracer) (*ProgramSet, error) {
-	rec = obs.OrNop(rec)
-	sp := rec.StartSpan("phase.analyze.sdg")
-	ts := tr.StartSpan("phase.analyze.sdg")
-	defer func() { ts.End(); sp.End() }()
-
-	ps := &ProgramSet{Prog: prog, rec: rec, tr: tr}
-	ps.sm.resolve(rec)
+	ps := &ProgramSet{Prog: prog, sc: sc}
+	ps.sm.resolve(sc.Rec)
 	analyzeBody := func(name string, decl *lang.ProcDecl, body []lang.Stmt, labels map[string]*lang.LabeledStmt) error {
 		synthetic := &lang.Program{Body: body, Labels: labels}
-		sub, err := AnalyzeObservedContext(ctx, synthetic, rec, tr)
+		sub, err := AnalyzeObservedContext(ctx, synthetic, sc.Rec, sc.Tr)
 		if err != nil {
 			if name == "" {
 				return fmt.Errorf("core: analyzing main: %w", err)
@@ -181,9 +168,7 @@ func (ps *ProgramSet) UnitAtLine(line int) *ProcUnit {
 // call it directly is to front-load the cost (or measure it).
 func (ps *ProgramSet) EnsureSummaries() error {
 	ps.summaryOnce.Do(func() {
-		sp := ps.rec.StartSpan("phase.sdg.summaries")
-		ts := ps.tr.StartSpan("phase.sdg.summaries")
-		defer func() { ts.End(); sp.End() }()
+		defer ps.sc.StartSpan("phase.sdg.summaries").End()
 		edges, rounds, err := ps.SDG.ComputeSummaries(ps.MainUnit().Sub.cancelf)
 		ps.sm.summaryEdges.Add(int64(edges))
 		ps.sm.summaryRounds.Add(int64(rounds))
@@ -338,8 +323,8 @@ func (ps *ProgramSet) SliceInterproc(c Criterion) (*InterSlice, error) {
 	}
 	ps.sm.slices.Add(1)
 	ps.sm.jumpsAdmitted.Add(int64(s.JumpsAdded))
-	if ps.tr != nil {
-		ps.tr.SliceDone("sdg", v2.Len())
+	if ps.sc.Tr != nil {
+		ps.sc.Tr.SliceDone("sdg", v2.Len())
 	}
 	return s, nil
 }
@@ -391,19 +376,18 @@ type funcEngine struct {
 	u *ProcUnit
 }
 
-func (e funcEngine) backwardClosure(seeds []int) (*bits.Set, error) {
+func (e funcEngine) BackwardClosure(seeds []int, cancel func() error) (*bits.Set, error) {
 	set := bits.New(e.u.Sub.CFG.NumNodes())
 	for _, v := range seeds {
-		if _, err := e.grow(set, v); err != nil {
+		if _, err := e.GrowClosure(set, v, cancel); err != nil {
 			return nil, err
 		}
 	}
 	return set, nil
 }
 
-func (e funcEngine) grow(set *bits.Set, seed int) (bool, error) {
+func (e funcEngine) GrowClosure(set *bits.Set, seed int, cancel func() error) (bool, error) {
 	s, g := e.s, e.s.Set.SDG
-	cancel := e.u.Sub.cancelf
 	gv := g.StmtVert(e.u.Index, seed)
 	if procTouched(g, s.V1, e.u.Index) {
 		// First-pass territory: grow V1, then cascade the new

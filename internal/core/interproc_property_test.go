@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -38,7 +39,7 @@ func TestSliceInterprocInliningProperty(t *testing.T) {
 			for il, ol := range lmap {
 				inv[ol] = il
 			}
-			ps, err := AnalyzeProgramSet(p)
+			ps, err := AnalyzeProgramSet(context.Background(), p, nil, nil)
 			if err != nil {
 				t.Fatalf("analyze set: %v", err)
 			}

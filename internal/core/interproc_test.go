@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func mustSet(t *testing.T, src string) *ProgramSet {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	ps, err := AnalyzeProgramSet(prog)
+	ps, err := AnalyzeProgramSet(context.Background(), prog, nil, nil)
 	if err != nil {
 		t.Fatalf("analyze set: %v", err)
 	}
@@ -182,7 +183,7 @@ func TestSliceInterprocPaperFiguresMatchAgrawal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("agrawal: %v", err)
 			}
-			ps, err := AnalyzeProgramSet(f.Parse())
+			ps, err := AnalyzeProgramSet(context.Background(), f.Parse(), nil, nil)
 			if err != nil {
 				t.Fatalf("analyze set: %v", err)
 			}

@@ -10,10 +10,11 @@ import (
 // a shallow copy sharing every derived structure — flowgraph, trees,
 // dependence graphs, precomputed worklists, and the lazily-built
 // batch condensation with its memoized closures — but carrying its
-// own context, recorder and tracer. It is the primitive the analysis
-// cache is built on: one Analysis is computed once, cached in a
-// detached form (Rebind(nil, reg, nil)), and each request that hits
-// the cache gets a view wired to its own deadline and trace journal.
+// own context and instrumentation scope (recorder and tracer). It is
+// the primitive the analysis cache is built on: one Analysis is
+// computed once, cached in a detached form (Rebind(nil, reg, nil)),
+// and each request that hits the cache gets a view wired to its own
+// deadline and trace journal.
 //
 // Rebind is cheap (one struct copy, no graph work) and safe to call
 // concurrently; the views may slice concurrently because everything
@@ -28,9 +29,8 @@ import (
 // per-component cache events to the building request's trace.
 func (a *Analysis) Rebind(ctx context.Context, rec obs.Recorder, tr *obs.Tracer) *Analysis {
 	cp := *a // legal: Analysis holds its lock-bearing batch state by pointer
-	cp.rec = obs.OrNop(rec)
-	cp.m.resolve(cp.rec)
-	cp.tr = tr
+	cp.sc = obs.Scope{Rec: obs.OrNop(rec), Tr: tr}
+	cp.m.resolve(cp.sc.Rec)
 	cp.ctx, cp.cancelf = nil, nil
 	if ctx != nil {
 		cp.bindContext(ctx)

@@ -46,7 +46,7 @@ func TestRebindSlicesIdentical(t *testing.T) {
 func TestRebindSharesBatchCondensation(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := progen.Structured(progen.Config{Seed: 3, Stmts: 40})
-	a, err := core.AnalyzeRecorded(p, reg)
+	a, err := core.AnalyzeObservedContext(context.Background(), p, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

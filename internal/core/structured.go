@@ -36,7 +36,7 @@ func (a *Analysis) AgrawalStructured(c Criterion) (*Slice, error) {
 	if !a.Structured() {
 		return nil, fmt.Errorf("core: Figure 12 algorithm: %w", ErrUnstructured)
 	}
-	eng := a.engine()
+	eng := a.PDG
 	conv, err := a.conventionalWith(c, eng)
 	if err != nil {
 		return nil, err
@@ -52,7 +52,7 @@ func (a *Analysis) AgrawalStructured(c Criterion) (*Slice, error) {
 	for {
 		s.Traversals++
 		a.m.traversals.Add(1)
-		a.tr.Traversal("fig12", s.Traversals)
+		a.sc.Tr.Traversal("fig12", s.Traversals)
 		if err := a.checkCancel("fig12"); err != nil {
 			return nil, err
 		}
@@ -83,13 +83,13 @@ func (a *Analysis) AgrawalStructured(c Criterion) (*Slice, error) {
 			// data dependence the property's argument never mentions)
 			// and widened (switch fall-through) candidates whose
 			// guards are outside the slice.
-			if _, err := eng.grow(set, v); err != nil {
+			if _, err := eng.GrowClosure(set, v, a.cancelf); err != nil {
 				return nil, err
 			}
 			s.JumpsAdded = append(s.JumpsAdded, v)
 			s.JumpRules = append(s.JumpRules, JumpRule{NearestPD: pd, NearestLS: ls})
 			a.m.jumpsAdmitted.Add(1)
-			a.tr.JumpAdmitted("fig12", v, pd, ls)
+			a.sc.Tr.JumpAdmitted("fig12", v, pd, ls)
 			if err := a.checkCancel("fig12"); err != nil {
 				return nil, err
 			}
@@ -118,7 +118,7 @@ func (a *Analysis) AgrawalConservative(c Criterion) (*Slice, error) {
 	if !a.Structured() {
 		return nil, fmt.Errorf("core: Figure 13 algorithm: %w", ErrUnstructured)
 	}
-	eng := a.engine()
+	eng := a.PDG
 	conv, err := a.conventionalWith(c, eng)
 	if err != nil {
 		return nil, err
@@ -140,7 +140,7 @@ func (a *Analysis) AgrawalConservative(c Criterion) (*Slice, error) {
 		changed = false
 		pass++
 		a.m.traversals.Add(1)
-		a.tr.Traversal("fig13", pass)
+		a.sc.Tr.Traversal("fig13", pass)
 		if err := a.checkCancel("fig13"); err != nil {
 			return nil, err
 		}
@@ -155,14 +155,14 @@ func (a *Analysis) AgrawalConservative(c Criterion) (*Slice, error) {
 				}
 			}
 			if a.directCandidate(j.ID, set) || a.switchCandidate(j.ID, set) {
-				if _, err := eng.grow(set, j.ID); err != nil {
+				if _, err := eng.GrowClosure(set, j.ID, a.cancelf); err != nil {
 					return nil, err
 				}
 				s.JumpsAdded = append(s.JumpsAdded, j.ID)
 				a.m.jumpsAdmitted.Add(1)
 				// Figure 13 admits by the candidate rule, not the
 				// nearest-PD/nearest-LS test; no evidence to carry.
-				a.tr.JumpAdmitted("fig13", j.ID, -1, -1)
+				a.sc.Tr.JumpAdmitted("fig13", j.ID, -1, -1)
 				if err := a.checkCancel("fig13"); err != nil {
 					return nil, err
 				}

@@ -1,14 +1,16 @@
 // Package obs is the repository's dependency-free observability core:
-// atomic counters, fixed-bucket histograms, and a Span phase timer,
-// collected behind a pluggable Recorder.
+// atomic counters and fixed-bucket histograms collected behind a
+// pluggable Recorder, and a Span phase timer started from a Scope (a
+// Recorder together with a request's Tracer).
 //
 // The design optimizes for the disabled case. Nop is the default
-// Recorder: it hands out nil *Counter / nil *Histogram and zero Spans,
-// and every instrument method is nil-safe — so a hot path that was
-// instrumented with a pre-resolved counter pays exactly one nil-check
-// per event when recording is off, no interface call, no allocation,
-// no time.Now. Instrumented packages resolve their instruments once
-// (at Analysis construction, say) and hold the pointers:
+// Recorder: it hands out nil *Counter / nil *Histogram, a disabled
+// Scope hands out no-op Spans, and every instrument method is
+// nil-safe — so a hot path that was instrumented with a pre-resolved
+// counter pays exactly one nil-check per event when recording is off,
+// no interface call, no allocation, no time.Now. Instrumented packages
+// resolve their instruments once (at Analysis construction, say) and
+// hold the pointers:
 //
 //	examined := rec.Counter("core.jumps_examined") // nil under Nop
 //	...
@@ -179,29 +181,59 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Span times one phase. Obtain it from Recorder.StartSpan and call
-// End when the phase finishes; the elapsed nanoseconds are recorded
-// into the named duration histogram. The zero Span (what Nop hands
-// out) is a no-op whose End neither reads the clock nor records.
+// Span times one phase. Obtain it from Scope.StartSpan and call End
+// when the phase finishes; the elapsed nanoseconds are recorded into
+// the named duration histogram and, when a tracer is attached,
+// published as a span event (and teed into the tracer's SpanLog). A
+// Span of a disabled Scope is a no-op whose End neither reads the
+// clock nor records.
 type Span struct {
 	h     *Histogram
+	t     *Tracer
+	name  string
 	start time.Time
 }
 
-// End stops the span, records its duration, and returns it. On a
-// no-op span it returns 0 without touching the clock.
+// End stops the span, records its duration on every attached sink,
+// and returns it. On a no-op span it returns 0 without touching the
+// clock.
 func (s Span) End() time.Duration {
-	if s.h == nil {
+	if s.h == nil && s.t == nil {
 		return 0
 	}
 	d := time.Since(s.start)
 	s.h.Observe(int64(d))
+	s.t.publishSpan(s.name, s.start, int64(d))
 	return d
 }
 
+// Scope is the one instrumentation handle an instrumented pipeline
+// carries: the metrics recorder its instruments resolve from and the
+// request's tracer. A nil Rec means Nop and a nil Tr means no
+// tracing, so the zero Scope is the disabled one.
+type Scope struct {
+	Rec Recorder
+	Tr  *Tracer
+}
+
+// StartSpan starts one phase span whose End feeds the duration
+// histogram of the same name, the flight recorder and the tracer's
+// span log. With both sinks disabled it reads no clock and allocates
+// nothing.
+func (s Scope) StartSpan(name string) Span {
+	sp := Span{t: s.Tr, name: name}
+	if s.Rec != nil {
+		sp.h = s.Rec.Histogram(name, UnitNanoseconds)
+	}
+	if sp.h != nil || sp.t != nil {
+		sp.start = time.Now()
+	}
+	return sp
+}
+
 // Recorder hands out named instruments. Implementations: *Registry
-// (collecting) and Nop (disabled; returns nil instruments and zero
-// Spans, which every instrument method accepts).
+// (collecting) and Nop (disabled; returns nil instruments, which every
+// instrument method accepts).
 type Recorder interface {
 	// Counter returns the named counter, creating it on first use.
 	Counter(name string) *Counter
@@ -210,9 +242,6 @@ type Recorder interface {
 	// Histogram returns the named histogram with the given unit,
 	// creating it on first use. The unit is fixed at creation.
 	Histogram(name string, unit Unit) *Histogram
-	// StartSpan starts a phase timer whose End records elapsed
-	// nanoseconds into the duration histogram of the same name.
-	StartSpan(name string) Span
 }
 
 // Nop is the default Recorder: records nothing, allocates nothing.
@@ -223,7 +252,6 @@ type nopRecorder struct{}
 func (nopRecorder) Counter(string) *Counter           { return nil }
 func (nopRecorder) Gauge(string) *Gauge               { return nil }
 func (nopRecorder) Histogram(string, Unit) *Histogram { return nil }
-func (nopRecorder) StartSpan(string) Span             { return Span{} }
 
 // OrNop returns r, or Nop when r is nil — the normalization every
 // instrumented constructor applies to its recorder argument.
@@ -287,12 +315,6 @@ func (r *Registry) Histogram(name string, unit Unit) *Histogram {
 	}
 	r.mu.Unlock()
 	return h
-}
-
-// StartSpan starts a phase timer recording into the duration
-// histogram named name.
-func (r *Registry) StartSpan(name string) Span {
-	return Span{h: r.Histogram(name, UnitNanoseconds), start: time.Now()}
 }
 
 // CounterSnapshot is one counter's state in a Snapshot.

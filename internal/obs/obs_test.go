@@ -41,8 +41,8 @@ func TestNopRecorder(t *testing.T) {
 	if Nop.Histogram("x", UnitCount) != nil {
 		t.Error("Nop.Histogram != nil")
 	}
-	if sp := Nop.StartSpan("x"); sp.h != nil || !sp.start.IsZero() {
-		t.Error("Nop.StartSpan not zero")
+	if sp := (Scope{Rec: Nop}).StartSpan("x"); sp.h != nil || !sp.start.IsZero() {
+		t.Error("Nop scope StartSpan not zero")
 	}
 	if OrNop(nil) != Nop {
 		t.Error("OrNop(nil) != Nop")
@@ -88,7 +88,7 @@ func TestCounterAndHistogram(t *testing.T) {
 
 func TestSpanRecords(t *testing.T) {
 	r := NewRegistry()
-	sp := r.StartSpan("phase.x")
+	sp := Scope{Rec: r}.StartSpan("phase.x")
 	time.Sleep(time.Millisecond)
 	d := sp.End()
 	if d <= 0 {
@@ -100,6 +100,47 @@ func TestSpanRecords(t *testing.T) {
 	}
 }
 
+// TestScopeSpanFeedsEverySink: one Scope span lands in the duration
+// histogram, the flight recorder and the span log, with one duration.
+func TestScopeSpanFeedsEverySink(t *testing.T) {
+	r := NewRegistry()
+	fr := NewFlightRecorder(8)
+	var sl SpanLog
+	sc := Scope{Rec: r, Tr: NewTracer(fr).ForRequest(4).WithSpans(&sl)}
+	d := sc.StartSpan("phase.x").End()
+	if d <= 0 {
+		t.Fatalf("span duration = %v", d)
+	}
+	if h := r.Histogram("phase.x", UnitNanoseconds); h.Count() != 1 || h.Sum() != int64(d) {
+		t.Errorf("histogram count=%d sum=%d, want 1 and %d", h.Count(), h.Sum(), d)
+	}
+	evs := fr.Events()
+	if len(evs) != 1 || evs[0].Kind != KindSpan || evs[0].Name != "phase.x" || evs[0].Req != 4 || evs[0].Dur != int64(d) {
+		t.Errorf("flight recorder events = %+v", evs)
+	}
+	if got := sl.Spans(); len(got) != 1 || got[0] != (PhaseDur{Name: "phase.x", NS: int64(d)}) {
+		t.Errorf("span log = %+v", got)
+	}
+}
+
+// TestDisabledScopeSpanIsFree: with no recorder (or Nop) and no
+// tracer, a Scope span reads no clock, reports no duration and
+// allocates nothing.
+func TestDisabledScopeSpanIsFree(t *testing.T) {
+	for _, sc := range []Scope{{}, {Rec: Nop}} {
+		sp := sc.StartSpan("phase.x")
+		if sp.h != nil || sp.t != nil || !sp.start.IsZero() {
+			t.Errorf("%+v: disabled span %+v carries a sink or a start time", sc, sp)
+		}
+		if d := sp.End(); d != 0 {
+			t.Errorf("%+v: disabled span End = %v, want 0", sc, d)
+		}
+		if n := testing.AllocsPerRun(100, func() { sc.StartSpan("phase.x").End() }); n != 0 {
+			t.Errorf("%+v: disabled span allocates %v times per run", sc, n)
+		}
+	}
+}
+
 func TestSnapshotDeterministicOrderAndScrub(t *testing.T) {
 	build := func(order []string) []byte {
 		r := NewRegistry()
@@ -107,7 +148,7 @@ func TestSnapshotDeterministicOrderAndScrub(t *testing.T) {
 			r.Counter(n).Add(1)
 		}
 		r.Histogram("z.sizes", UnitCount).Observe(9)
-		sp := r.StartSpan("a.phase")
+		sp := Scope{Rec: r}.StartSpan("a.phase")
 		sp.End()
 		data, err := json.Marshal(r.Snapshot().Scrub())
 		if err != nil {

@@ -52,6 +52,29 @@ func BenchmarkSpanLogTee(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sl := &SpanLog{}
 		tr := NewTracer(fr).ForRequest(uint64(i)).WithSpans(sl)
-		tr.StartSpan("phase.analyze").End()
+		Scope{Tr: tr}.StartSpan("phase.analyze").End()
+	}
+}
+
+// BenchmarkScopeSpanDisabled is the cost of one phase span on an
+// uninstrumented pipeline: no clock reads, no allocation.
+func BenchmarkScopeSpanDisabled(b *testing.B) {
+	sc := Scope{Rec: Nop}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sc.StartSpan("phase.analyze").End()
+	}
+}
+
+// BenchmarkScopeSpan is the cost of one phase span feeding all three
+// sinks: the duration histogram, the flight recorder and a span log.
+func BenchmarkScopeSpan(b *testing.B) {
+	r := NewRegistry()
+	fr := NewFlightRecorder(1 << 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sl := &SpanLog{}
+		sc := Scope{Rec: r, Tr: NewTracer(fr).ForRequest(uint64(i)).WithSpans(sl)}
+		sc.StartSpan("phase.analyze").End()
 	}
 }

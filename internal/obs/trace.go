@@ -327,39 +327,21 @@ func (t *Tracer) SliceDone(name string, nodes int) {
 	t.emit(KindSlice, name, -1, -1, -1, int64(nodes))
 }
 
-// TraceSpan times one phase for the trace, the tracing twin of Span.
-// The zero TraceSpan (what a nil Tracer hands out) is a no-op whose
-// End neither reads the clock nor publishes.
-type TraceSpan struct {
-	t     *Tracer
-	name  string
-	start time.Time
-}
-
-// StartSpan starts a phase span. On a nil tracer it returns the zero
-// (no-op) TraceSpan without reading the clock.
-func (t *Tracer) StartSpan(name string) TraceSpan {
+// publishSpan publishes one completed span and tees it into the span
+// log. No-op on nil.
+func (t *Tracer) publishSpan(name string, start time.Time, dur int64) {
 	if t == nil {
-		return TraceSpan{}
-	}
-	return TraceSpan{t: t, name: name, start: time.Now()}
-}
-
-// End publishes the completed span.
-func (s TraceSpan) End() {
-	if s.t == nil {
 		return
 	}
-	dur := int64(time.Since(s.start))
-	s.t.fr.publish(&Event{
-		Req:  s.t.req,
+	t.fr.publish(&Event{
+		Req:  t.req,
 		Kind: KindSpan,
-		Name: s.name,
-		TS:   s.start.UnixNano(),
+		Name: name,
+		TS:   start.UnixNano(),
 		Dur:  dur,
 		Node: -1,
 		PD:   -1,
 		LS:   -1,
 	})
-	s.t.spans.Add(s.name, dur)
+	t.spans.Add(name, dur)
 }

@@ -16,7 +16,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.CacheHit(0)
 	tr.CacheBuild(0)
 	tr.SliceDone("agrawal", 9)
-	sp := tr.StartSpan("phase")
+	sp := Scope{Tr: tr}.StartSpan("phase")
 	if sp.t != nil || !sp.start.IsZero() {
 		t.Error("nil tracer StartSpan not zero")
 	}
@@ -130,7 +130,7 @@ func TestTracerEventFieldsAndRequestScope(t *testing.T) {
 	r1 := root.ForRequest(1)
 	r2 := root.ForRequest(2)
 
-	sp := r1.StartSpan("phase.analyze")
+	sp := Scope{Tr: r1}.StartSpan("phase.analyze")
 	sp.End()
 	r1.Traversal("fig7", 2)
 	r1.JumpAdmitted("fig7", 7, 13, 8)
@@ -190,7 +190,7 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 func TestChromeTraceSchema(t *testing.T) {
 	fr := NewFlightRecorder(64)
 	tr := NewTracer(fr).ForRequest(5)
-	sp := tr.StartSpan("phase.analyze")
+	sp := Scope{Tr: tr}.StartSpan("phase.analyze")
 	sp.End()
 	tr.JumpAdmitted("fig7", 7, 13, 8)
 

@@ -36,7 +36,7 @@ type Condensation struct {
 	// closure; a build is one component closure being materialized.
 	requests, hits, builds *obs.Counter
 
-	// tracer, when non-nil (see Trace), receives one event per cache
+	// tracer, when non-nil (see Instrument), receives one event per cache
 	// hit and per component-closure build, giving request traces the
 	// cache behaviour the aggregate counters only total up.
 	tracer *obs.Tracer
@@ -222,19 +222,20 @@ func containsInt(s []int, v int) bool {
 	return false
 }
 
-// Instrument attaches cache counters (any may be nil, and the
-// counters of obs.Nop are): requests counts closure lookups, hits the
-// lookups answered from a memoized component closure, and builds the
-// component closures materialized. Call it before the condensation is
-// shared across goroutines; the counters themselves are atomic.
-func (c *Condensation) Instrument(requests, hits, builds *obs.Counter) {
-	c.requests, c.hits, c.builds = requests, hits, builds
+// Instrument attaches the scope's instrumentation: the
+// pdg.closure_requests counter (closure lookups), pdg.closure_hits
+// (lookups answered from a memoized component closure) and
+// pdg.closure_builds (component closures materialized), plus the
+// scope's tracer, which receives one event per cache hit and per
+// component-closure build. Call it before the condensation is shared
+// across goroutines; the counters themselves are atomic.
+func (c *Condensation) Instrument(sc obs.Scope) {
+	rec := obs.OrNop(sc.Rec)
+	c.requests = rec.Counter("pdg.closure_requests")
+	c.hits = rec.Counter("pdg.closure_hits")
+	c.builds = rec.Counter("pdg.closure_builds")
+	c.tracer = sc.Tr
 }
-
-// Trace attaches a tracer emitting per-lookup cache events (nil
-// detaches; the nil tracer is a no-op). Like Instrument, call it
-// before the condensation is shared across goroutines.
-func (c *Condensation) Trace(t *obs.Tracer) { c.tracer = t }
 
 // Component returns the component index of node n.
 func (c *Condensation) Component(n int) int { return c.comp[n] }
@@ -304,16 +305,10 @@ func (c *Condensation) ensure(target int, cancel func() error) (*bits.Set, error
 
 // BackwardClosure is the condensation-backed equivalent of
 // Graph.BackwardClosure: the union of the memoized component closures
-// of the seeds. Word-parallel, and O(words) per seed once warm.
-func (c *Condensation) BackwardClosure(seeds []int) *bits.Set {
-	out, _ := c.BackwardClosureCancel(seeds, nil)
-	return out
-}
-
-// BackwardClosureCancel is BackwardClosure with cooperative
-// cancellation: the closure fill consults cancel (nil disables the
-// checks) and abandons the request on a non-nil error, returning it.
-func (c *Condensation) BackwardClosureCancel(seeds []int, cancel func() error) (*bits.Set, error) {
+// of the seeds. Word-parallel, and O(words) per seed once warm. The
+// closure fill consults cancel (nil disables the checks) and abandons
+// the request on a non-nil error, returning it.
+func (c *Condensation) BackwardClosure(seeds []int, cancel func() error) (*bits.Set, error) {
 	out := bits.New(len(c.comp))
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -329,14 +324,9 @@ func (c *Condensation) BackwardClosureCancel(seeds []int, cancel func() error) (
 
 // GrowClosure is the condensation-backed equivalent of
 // Graph.GrowClosure: it unions seed's memoized closure into set and
-// reports whether set changed.
-func (c *Condensation) GrowClosure(set *bits.Set, seed int) bool {
-	return set.UnionWith(c.ClosureOf(seed))
-}
-
-// GrowClosureCancel is GrowClosure with cooperative cancellation (see
-// BackwardClosureCancel).
-func (c *Condensation) GrowClosureCancel(set *bits.Set, seed int, cancel func() error) (bool, error) {
+// reports whether set changed. cancel is consulted as in
+// BackwardClosure.
+func (c *Condensation) GrowClosure(set *bits.Set, seed int, cancel func() error) (bool, error) {
 	c.mu.Lock()
 	cs, err := c.ensure(c.comp[seed], cancel)
 	c.mu.Unlock()

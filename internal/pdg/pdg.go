@@ -214,16 +214,11 @@ const cancelCheckNodes = 1024
 // following dependence rows backwards (the transitive closure of data
 // and control dependence and the invariant edges — the conventional
 // slicing engine). The seeds themselves are included.
-func (p *Graph) BackwardClosure(seeds []int) *bits.Set {
-	out, _ := p.BackwardClosureCancel(seeds, nil)
-	return out
-}
-
-// BackwardClosureCancel is BackwardClosure with cooperative
-// cancellation: every cancelCheckNodes node visits the walk calls
-// cancel (nil disables the checks) and abandons the closure on a
-// non-nil error, returning it.
-func (p *Graph) BackwardClosureCancel(seeds []int, cancel func() error) (*bits.Set, error) {
+//
+// Cancellation is cooperative: every cancelCheckNodes node visits the
+// walk calls cancel (nil disables the checks) and abandons the closure
+// on a non-nil error, returning it.
+func (p *Graph) BackwardClosure(seeds []int, cancel func() error) (*bits.Set, error) {
 	out := bits.New(len(p.CFG.Nodes))
 	var stack []int
 	for _, s := range seeds {
@@ -239,18 +234,12 @@ func (p *Graph) BackwardClosureCancel(seeds []int, cancel func() error) (*bits.S
 }
 
 // GrowClosure extends an existing slice set in place with the backward
-// closure of the given seed, returning true if anything was added.
+// closure of the given seed, reporting whether anything was added.
 // Agrawal's Figure 7 uses this when a jump statement is added to the
 // slice: "Add the transitive closure of the dependence of J to Slice".
-func (p *Graph) GrowClosure(set *bits.Set, seed int) bool {
-	changed, _ := p.GrowClosureCancel(set, seed, nil)
-	return changed
-}
-
-// GrowClosureCancel is GrowClosure with cooperative cancellation (see
-// BackwardClosureCancel). On cancellation the set holds a partial
-// closure and must be discarded by the caller.
-func (p *Graph) GrowClosureCancel(set *bits.Set, seed int, cancel func() error) (bool, error) {
+// cancel is consulted as in BackwardClosure; on cancellation the set
+// holds a partial closure and must be discarded by the caller.
+func (p *Graph) GrowClosure(set *bits.Set, seed int, cancel func() error) (bool, error) {
 	if set.Has(seed) {
 		return false, nil
 	}

@@ -25,6 +25,15 @@ func build(t *testing.T, src string) (*cfg.Graph, *Graph) {
 	return g, Build(g, cd, rd, Invariants{})
 }
 
+// noCancel unwraps a closure call made without a cancel callback,
+// which cannot fail.
+func noCancel[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func lines(g *cfg.Graph, ids []int) []int {
 	var out []int
 	for _, id := range ids {
@@ -56,7 +65,7 @@ func TestFigure2ProgramDependenceGraph(t *testing.T) {
 func TestFigure2BackwardClosure(t *testing.T) {
 	g, p := build(t, paper.Fig1().Source)
 	n12 := g.NodesAtLine(12)[0]
-	set := p.BackwardClosure([]int{n12.ID})
+	set := noCancel(p.BackwardClosure([]int{n12.ID}, nil))
 	wantLines := map[int]bool{0: true, 2: true, 3: true, 4: true, 5: true, 7: true, 12: true}
 	set.ForEach(func(id int) {
 		if !wantLines[g.Nodes[id].Line] {
@@ -80,7 +89,7 @@ func TestBackwardClosureMultipleSeeds(t *testing.T) {
 	g, p := build(t, "a = 1;\nb = 2;\nwrite(a);\nwrite(b);")
 	s3 := g.NodesAtLine(3)[0]
 	s4 := g.NodesAtLine(4)[0]
-	set := p.BackwardClosure([]int{s3.ID, s4.ID})
+	set := noCancel(p.BackwardClosure([]int{s3.ID, s4.ID}, nil))
 	for _, l := range []int{1, 2, 3, 4} {
 		n := g.NodesAtLine(l)[0]
 		if !set.Has(n.ID) {
@@ -92,19 +101,19 @@ func TestBackwardClosureMultipleSeeds(t *testing.T) {
 func TestGrowClosureIncremental(t *testing.T) {
 	g, p := build(t, "a = 1;\nb = a;\nc = 5;\nwrite(b);\nwrite(c);")
 	w4 := g.NodesAtLine(4)[0]
-	set := p.BackwardClosure([]int{w4.ID})
+	set := noCancel(p.BackwardClosure([]int{w4.ID}, nil))
 	c3 := g.NodesAtLine(3)[0]
 	if set.Has(c3.ID) {
 		t.Fatal("c = 5 should not be in the initial closure")
 	}
 	w5 := g.NodesAtLine(5)[0]
-	if !p.GrowClosure(set, w5.ID) {
+	if !noCancel(p.GrowClosure(set, w5.ID, nil)) {
 		t.Error("GrowClosure should report change")
 	}
 	if !set.Has(c3.ID) {
 		t.Error("growing from write(c) should add c = 5")
 	}
-	if p.GrowClosure(set, w5.ID) {
+	if noCancel(p.GrowClosure(set, w5.ID, nil)) {
 		t.Error("second GrowClosure should be a no-op")
 	}
 }
@@ -113,7 +122,7 @@ func TestClosureFollowsControlThenData(t *testing.T) {
 	// write(y) -> y=1 (data) -> if(x>0) (control) -> read(x) (data).
 	g, p := build(t, "read(x);\nif (x > 0)\ny = 1;\nwrite(y);")
 	w := g.NodesAtLine(4)[0]
-	set := p.BackwardClosure([]int{w.ID})
+	set := noCancel(p.BackwardClosure([]int{w.ID}, nil))
 	for _, l := range []int{1, 2, 3, 4} {
 		if !set.Has(g.NodesAtLine(l)[0].ID) {
 			t.Errorf("closure missing line %d", l)
@@ -180,7 +189,7 @@ func TestInvariantEdgesFormRowTails(t *testing.T) {
 			if want := append(append([]int{}, plain.Deps(v)...), tail...); !equalInts(p.Rows()[v], want) {
 				t.Errorf("%s: row %d = %v, want %v", f.Name, v, p.Rows()[v], want)
 			}
-			closure := p.BackwardClosure([]int{v})
+			closure := noCancel(p.BackwardClosure([]int{v}, nil))
 			for _, d := range tail {
 				if !closure.Has(d) {
 					t.Errorf("%s: closure of %d misses invariant target %d", f.Name, v, d)

@@ -590,12 +590,6 @@ func (g *Graph) entryVert(pi int) int {
 	return g.stmtVert[pi][g.Procs[pi].CFG.Entry.ID]
 }
 
-// NumVerts returns the vertex count.
-func (g *Graph) NumVerts() int { return len(g.Verts) }
-
-// Vert returns the vertex record for id.
-func (g *Graph) Vert(id int) Vertex { return g.Verts[id] }
-
 // Deps returns v's backward dependence edges. Shared; do not modify.
 func (g *Graph) Deps(v int) []Dep { return g.deps[v] }
 
@@ -604,35 +598,6 @@ func (g *Graph) StmtVert(pi, node int) int { return g.stmtVert[pi][node] }
 
 // EntryVert returns the statement vertex of a procedure's Entry node.
 func (g *Graph) EntryVert(pi int) int { return g.entryVert(pi) }
-
-// ProcIndex resolves a procedure name ("" does not resolve).
-func (g *Graph) ProcIndex(name string) (int, bool) {
-	i, ok := g.byName[name]
-	return i, ok
-}
-
-// ActualInVerts returns the actual-in vertices of a call node, in
-// argument order (nil if the node is not a call).
-func (g *Graph) ActualInVerts(pi, node int) []int { return g.actualIn[pi][node] }
-
-// ActualOutVerts returns the actual-out vertices of a call node in
-// ascending argument order.
-func (g *Graph) ActualOutVerts(pi, node int) []int {
-	m := g.actualOutIdx[pi][node]
-	if len(m) == 0 {
-		return nil
-	}
-	idx := make([]int, 0, len(m))
-	for j := range m {
-		idx = append(idx, j)
-	}
-	sort.Ints(idx)
-	out := make([]int, len(idx))
-	for i, j := range idx {
-		out[i] = m[j]
-	}
-	return out
-}
 
 // ActualOutVertByVar returns the actual-out vertex carrying variable v
 // at a call node, if the call copies v back out.
@@ -661,9 +626,6 @@ func (g *Graph) CalleeOf(pi, node int) (int, bool) {
 	qi, ok := g.calleeOf[pi][node]
 	return qi, ok
 }
-
-// Sites returns the call sites of procedure qi. Shared; do not modify.
-func (g *Graph) Sites(qi int) []Site { return g.sites[qi] }
 
 // ProcVertRange returns the half-open vertex ID range [lo, hi) of
 // procedure pi's vertices; statements, formals, and actuals are
